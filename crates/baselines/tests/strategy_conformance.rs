@@ -15,9 +15,16 @@
 //! The harness is what pins "adding a strategy" to "adding a strategy that
 //! behaves": a new variant only has to be added to [`STRATEGIES`] and the
 //! whole contract applies to it.
+//!
+//! The dispatch-path test flips the process-wide
+//! [`nnbo_linalg::force_portable_kernels`] switch while the test harness
+//! runs the other tests on concurrent threads.  A run that straddles a flip
+//! mixes packed and portable kernels, so every test here holds
+//! [`DISPATCH_LOCK`]: shared by the tests that keep the dispatch as it is,
+//! exclusive for the one that flips it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use nnbo_baselines::{Gaspad, GaspadConfig, GaspadSnapshot, GpSurrogateTrainer};
 use nnbo_core::problems::ConstrainedBranin;
@@ -26,8 +33,14 @@ use nnbo_core::{
     OptimizationResult, Problem, SuggestStrategy,
 };
 
-/// Serialises the tests that flip the process-wide kernel dispatch override.
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
+/// Written by the test that flips the process-wide kernel dispatch
+/// override, read by every other test (see the module docs).
+static DISPATCH_LOCK: RwLock<()> = RwLock::new(());
+
+/// Holds the kernel dispatch steady for the rest of the calling test.
+fn steady_dispatch() -> RwLockReadGuard<'static, ()> {
+    DISPATCH_LOCK.read().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Restores the vectorised dispatch default even when a test panics.
 struct DispatchGuard;
@@ -79,7 +92,7 @@ fn run_strategy(name: &str, seed: u64) -> OptimizationResult {
 
 #[test]
 fn every_strategy_is_seeded_deterministic_under_both_dispatch_paths() {
-    let _lock = DISPATCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let _lock = DISPATCH_LOCK.write().unwrap_or_else(|p| p.into_inner());
     let _guard = DispatchGuard;
     for forced in [false, true] {
         nnbo_linalg::force_portable_kernels(forced);
@@ -101,6 +114,7 @@ fn every_strategy_is_seeded_deterministic_under_both_dispatch_paths() {
 
 #[test]
 fn every_strategy_stays_inside_the_unit_cube_with_finite_values() {
+    let _lock = steady_dispatch();
     for name in STRATEGIES {
         let result = run_strategy(name, 3);
         assert_eq!(result.num_evaluations(), BUDGET, "{name}: budget honoured");
@@ -121,6 +135,7 @@ fn every_strategy_stays_inside_the_unit_cube_with_finite_values() {
 /// share the seeded initial design exactly, then genuinely search differently.
 #[test]
 fn the_strategy_seam_only_changes_the_model_guided_phase() {
+    let _lock = steady_dispatch();
     let problem = ConstrainedBranin::new();
     let full = weibo_fast(bo_config(29)).run(&problem).unwrap();
     let line = lineasybo_fast(bo_config(29)).run(&problem).unwrap();
@@ -176,6 +191,7 @@ impl Problem for FailAt {
 
 #[test]
 fn imputed_points_are_never_reported_as_the_optimum() {
+    let _lock = steady_dispatch();
     // Default policy retries twice, so three consecutive failing calls
     // exhaust one guided point's budget and (under ImputeWorst) impute it.
     let policy = FailurePolicy {
@@ -219,6 +235,7 @@ fn imputed_points_are_never_reported_as_the_optimum() {
 /// uninterrupted run, for every strategy, using its own snapshot format.
 #[test]
 fn mid_run_snapshots_resume_bit_identically_for_every_strategy() {
+    let _lock = steady_dispatch();
     let problem = ConstrainedBranin::new();
 
     // WEIBO and LinEasyBO share the BoSnapshot path.

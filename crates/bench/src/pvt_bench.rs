@@ -240,6 +240,11 @@ mod tests {
 
     #[test]
     fn a_failing_workload_would_fail_the_run_not_the_document() {
+        // `compare` pins sequential == parallel bit for bit, so it holds the
+        // dispatch steady like the other bit-identity tests.
+        let _guard = crate::TEST_DISPATCH_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         // `compare` refuses to produce an entry whose design points fail —
         // the pin is an error path, not a silently-false flag.
         let problem = SweepProblem::new(

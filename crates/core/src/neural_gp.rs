@@ -1,7 +1,7 @@
 //! The neural-network Gaussian process (weight-space view) — the paper's surrogate.
 
 use nnbo_linalg::{Cholesky, Matrix, Standardizer};
-use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, Optimizer};
+use nnbo_nn::{squared_norm, Activation, Adam, Mlp, MlpConfig, TrainWorkspace};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -120,26 +120,50 @@ pub struct NeuralGp {
     fit_jitter: f64,
 }
 
-/// Reusable buffers of one training descent: the flat `[log σn, log σp,
-/// weights...]` parameter vector handed to Adam, the matching gradient, and
-/// the `M × M` matrices of the per-epoch symmetric inverse `A⁻¹`.
-/// Allocated once per fit and reused across every epoch, so the warm loop's
-/// per-epoch cost is the likelihood evaluation alone.
+/// Reusable buffers of one training descent, allocated by the first epoch
+/// and reused by every later one, so an epoch is arithmetic only:
+///
+/// * `params` — the one flat parameter vector `[log σn, log σp, network
+///   weights...]` that Adam updates in place and the network reads directly
+///   (it is loaded into the `Mlp` once, when the descent ends);
+/// * `grad` — the matching gradient, written in place by the NLL and by
+///   back-propagation;
+/// * `nn` — the network's forward/backward workspace, including the
+///   `∂nll/∂Φ` buffer;
+/// * the `M × M` normal matrix `A`, its symmetric inverse and work matrix,
+///   the projected targets `v = Φy` and the in-sample predictions `Φᵀα`.
 struct TrainScratch {
-    flat: Vec<f64>,
+    params: Vec<f64>,
     grad: Vec<f64>,
+    nn: TrainWorkspace,
+    a: Matrix,
     inv: Matrix,
     inv_work: Matrix,
+    v: Vec<f64>,
+    pred: Vec<f64>,
 }
 
 impl TrainScratch {
     fn new(num_params: usize) -> Self {
         TrainScratch {
-            flat: Vec::with_capacity(num_params),
+            params: Vec::with_capacity(num_params),
             grad: Vec::with_capacity(num_params),
+            nn: TrainWorkspace::new(),
+            a: Matrix::zeros(0, 0),
             inv: Matrix::zeros(0, 0),
             inv_work: Matrix::zeros(0, 0),
+            v: Vec::new(),
+            pred: Vec::new(),
         }
+    }
+
+    /// Starts a descent at `[log_noise, log_prior, mlp's weights]`.
+    fn load(&mut self, mlp: &Mlp, log_noise: f64, log_prior: f64) {
+        self.params.clear();
+        self.params.push(log_noise);
+        self.params.push(log_prior);
+        self.params.extend_from_slice(&mlp.flat_params());
+        self.grad.resize(self.params.len(), 0.0);
     }
 }
 
@@ -521,15 +545,17 @@ fn validate(xs: &[Vec<f64>], ys: &[f64]) -> Result<(), String> {
 }
 
 /// Runs up to `epochs` Adam steps on the joint NLL from the given network and
-/// hyper-parameter state, mutating `mlp` in place.  With `grad_tol = Some(t)`
-/// the descent stops early once the gradient RMS drops below `t` (the
-/// warm-continuation mode); `None` reproduces the cold training loop exactly.
-/// All per-epoch buffers live in `scratch`.
+/// hyper-parameter state, leaving the trained weights in `mlp`.  With
+/// `grad_tol = Some(t)` the descent stops early once the gradient RMS drops
+/// below `t` (the warm-continuation mode); `None` reproduces the cold
+/// training loop exactly.  All per-epoch buffers live in `scratch`, and the
+/// descent works on its one flat parameter vector: `Σ g²` is computed once
+/// per epoch and serves both the RMS stop and Adam's gradient clipping.
 #[allow(clippy::too_many_arguments)] // internal descent core; one call site per mode
 fn run_adam(
     mlp: &mut Mlp,
-    mut log_noise: f64,
-    mut log_prior: f64,
+    log_noise: f64,
+    log_prior: f64,
     x: &Matrix,
     y: &[f64],
     config: &NeuralGpConfig,
@@ -538,46 +564,26 @@ fn run_adam(
     scratch: &mut TrainScratch,
 ) -> Descent {
     let mut adam = Adam::with_learning_rate(config.learning_rate);
-    let mut nn_params = mlp.flat_params();
+    scratch.load(mlp, log_noise, log_prior);
     for _ in 0..epochs {
-        mlp.set_flat_params(&nn_params);
-        if loss_and_grad_into(
-            mlp,
-            log_noise,
-            log_prior,
-            x,
-            y,
-            config,
-            &mut scratch.grad,
-            &mut scratch.inv,
-            &mut scratch.inv_work,
-        )
-        .is_none()
-        {
+        if loss_and_grad_into(mlp, x, y, config, scratch).is_none() {
             break;
         }
+        let sum_sq = squared_norm(&scratch.grad);
         if let Some(tol) = grad_tol {
-            let rms = (scratch.grad.iter().map(|g| g * g).sum::<f64>() / scratch.grad.len() as f64)
-                .sqrt();
-            if rms <= tol {
+            if (sum_sq / scratch.grad.len() as f64).sqrt() <= tol {
                 break;
             }
         }
-        // Flat parameter vector: [log σn, log σp, network weights...].
-        let flat = &mut scratch.flat;
-        flat.clear();
-        flat.push(log_noise);
-        flat.push(log_prior);
-        flat.extend_from_slice(&nn_params);
-        adam.step(flat, &scratch.grad);
-        log_noise = flat[0].clamp(config.min_log_noise, config.max_log_noise);
-        log_prior = flat[1].clamp(-config.prior_log_clamp, config.prior_log_clamp);
-        nn_params.copy_from_slice(&flat[2..]);
+        let params = &mut scratch.params;
+        adam.step_with_squared_norm(params, &scratch.grad, sum_sq);
+        params[0] = params[0].clamp(config.min_log_noise, config.max_log_noise);
+        params[1] = params[1].clamp(-config.prior_log_clamp, config.prior_log_clamp);
     }
-    mlp.set_flat_params(&nn_params);
+    mlp.set_flat_params(&scratch.params[2..]);
     Descent {
-        log_noise,
-        log_prior,
+        log_noise: scratch.params[0],
+        log_prior: scratch.params[1],
     }
 }
 
@@ -705,53 +711,50 @@ pub(crate) fn loss_and_grad(
     y: &[f64],
     config: &NeuralGpConfig,
 ) -> Option<(f64, Vec<f64>)> {
-    let mut grad = Vec::new();
-    let mut inv = Matrix::zeros(0, 0);
-    let mut inv_work = Matrix::zeros(0, 0);
-    loss_and_grad_into(
-        mlp,
-        log_noise,
-        log_prior,
-        x,
-        y,
-        config,
-        &mut grad,
-        &mut inv,
-        &mut inv_work,
-    )
-    .map(|nll| (nll, grad))
+    let mut scratch = TrainScratch::new(2 + mlp.num_params());
+    scratch.load(mlp, log_noise, log_prior);
+    loss_and_grad_into(mlp, x, y, config, &mut scratch).map(|nll| (nll, scratch.grad))
 }
 
-/// [`loss_and_grad`] writing the gradient into a caller-owned buffer and the
-/// symmetric inverse into caller-owned matrices, so the training loop reuses
-/// one set of allocations across every epoch.
-#[allow(clippy::too_many_arguments)]
+/// [`loss_and_grad`] at the parameters `scratch.params`, writing the
+/// gradient into `scratch.grad`.  `mlp` supplies only the network layout;
+/// its weights are read from the flat parameter vector.  Every product
+/// writes into a buffer of `scratch`, so one set of allocations serves every
+/// epoch of a descent.
 fn loss_and_grad_into(
     mlp: &Mlp,
-    log_noise: f64,
-    log_prior: f64,
     x: &Matrix,
     y: &[f64],
     config: &NeuralGpConfig,
-    grad: &mut Vec<f64>,
-    inv: &mut Matrix,
-    inv_work: &mut Matrix,
+    scratch: &mut TrainScratch,
 ) -> Option<f64> {
-    let cache = mlp.forward_cached(x);
-    let out = cache.output();
+    let TrainScratch {
+        params,
+        grad,
+        nn,
+        a,
+        inv,
+        inv_work,
+        v,
+        pred,
+    } = scratch;
+    let (log_noise, log_prior, nn_params) = (params[0], params[1], &params[2..]);
+    mlp.forward_cached(nn_params, x, nn);
+    let (out, grad_out) = nn.output_and_grad();
     let n = out.nrows();
     let m = out.ncols();
     let noise_var = (2.0 * log_noise).exp();
     let prior_var = (2.0 * log_prior).exp();
     let lambda = m as f64 * noise_var / prior_var;
 
-    let mut a = out.transpose_matmul_self();
+    out.transpose_matmul_self_into(a);
     a.add_diag(lambda);
-    let (chol, _) = Cholesky::decompose_with_jitter(&a, config.jitter, 10).ok()?;
-    let v = out.vecmat(y);
-    let alpha = chol.solve_vec(&v);
-    let pred = out.matvec(&alpha);
-    let residual: Vec<f64> = y.iter().zip(pred.iter()).map(|(t, p)| t - p).collect();
+    let (chol, _) = Cholesky::decompose_with_jitter(a, config.jitter, 10).ok()?;
+    v.resize(m, 0.0);
+    out.vecmat_into(y, v);
+    let alpha = chol.solve_vec(v);
+    pred.resize(n, 0.0);
+    out.matvec_into(&alpha, pred);
 
     let yty: f64 = y.iter().map(|t| t * t).sum();
     let v_alpha: f64 = v.iter().zip(alpha.iter()).map(|(a, b)| a * b).sum();
@@ -772,32 +775,26 @@ fn loss_and_grad_into(
     }
 
     // Gradient with respect to the feature matrix (in N x M orientation):
-    //   ∂nll/∂Out = -(1/σn²)·r·αᵀ + Out·A⁻¹.
+    //   ∂nll/∂Out = -(1/σn²)·r·αᵀ + Out·A⁻¹,  with residual r = y − Out·α.
     chol.symmetric_inverse_into(inv, inv_work);
-    let b = &*inv;
-    let mut grad_out = out.matmul(b);
+    out.matmul_into(inv, grad_out);
     for i in 0..n {
-        let scale = -residual[i] / noise_var;
+        let scale = -(y[i] - pred[i]) / noise_var;
         let row = grad_out.row_mut(i);
         for (g, a) in row.iter_mut().zip(alpha.iter()) {
             *g += scale * a;
         }
     }
-    let (nn_grad, _) = mlp.backward(&cache, &grad_out);
+    mlp.backward(nn_params, x, nn, &mut grad[2..]);
 
     // Gradients with respect to log σn and log σp.
     let alpha_sq: f64 = alpha.iter().map(|a| a * a).sum();
-    let trace_b = b.trace().expect("A is square");
+    let trace_b = inv.trace().expect("A is square");
     let lambda_sensitivity = alpha_sq / (2.0 * noise_var) + 0.5 * trace_b;
-    let d_log_noise = -2.0 * fit_term + 2.0 * lambda * lambda_sensitivity - m as f64 + n as f64;
-    let d_log_prior = -2.0 * lambda * lambda_sensitivity + m as f64;
-
-    grad.clear();
-    grad.reserve(2 + mlp.num_params());
-    grad.push(d_log_noise);
-    grad.push(d_log_prior);
-    nn_grad.append_flat(grad);
-    if grad.iter().any(|g| !g.is_finite()) {
+    grad[0] = -2.0 * fit_term + 2.0 * lambda * lambda_sensitivity - m as f64 + n as f64;
+    grad[1] = -2.0 * lambda * lambda_sensitivity + m as f64;
+    // A non-short-circuiting fold, so the check vectorises.
+    if !grad.iter().fold(true, |ok, g| ok & g.is_finite()) {
         return None;
     }
     Some(nll)

@@ -53,7 +53,11 @@ pub fn force_portable_kernels(force: bool) {
 }
 
 /// `true` when the packed-panel AVX2+FMA micro-kernels are in use.
-pub(crate) fn simd_active() -> bool {
+///
+/// Other crates route their own `#[target_feature]` copies of a kernel
+/// through this (the `nnbo-nn` Adam update does), so one environment
+/// variable and one override switch every vectorised path in the process.
+pub fn simd_active() -> bool {
     let (env_portable, hw) = probe();
     hw && !env_portable && !FORCE_PORTABLE.load(Ordering::Relaxed)
 }

@@ -60,6 +60,75 @@ pub(crate) fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3)
 }
 
+/// Panics unless every `(slice length, rows, cols)` triple agrees.
+fn assert_shapes(op: &str, shapes: [(usize, usize, usize); 3]) {
+    for (len, rows, cols) in shapes {
+        assert_eq!(
+            len,
+            rows * cols,
+            "{op}: a {len}-element operand is not {rows}x{cols}"
+        );
+    }
+}
+
+/// `out[m×n] = a[m×k] · b[k×n]` on raw row-major slices: the same kernel
+/// as [`crate::Matrix::matmul_into`], for operands that live inside a larger
+/// buffer (a network layer's weights inside one flat parameter vector).
+/// `out` is overwritten.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its stated shape.
+pub fn matmul_slices(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    assert_shapes(
+        "matmul_slices",
+        [(a.len(), m, k), (b.len(), k, n), (out.len(), m, n)],
+    );
+    matmul_blocked(a, m, k, b, n, out);
+}
+
+/// `out[m×p] = a[m×k] · b[p×k]ᵀ` on raw row-major slices: the kernel of
+/// [`crate::Matrix::matmul_transpose_into`].  `out` is overwritten.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its stated shape.
+pub fn matmul_transpose_slices(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    p: usize,
+    out: &mut [f64],
+) {
+    assert_shapes(
+        "matmul_transpose_slices",
+        [(a.len(), m, k), (b.len(), p, k), (out.len(), m, p)],
+    );
+    matmul_transpose_blocked(a, m, k, b, p, out);
+}
+
+/// `out[ca×cb] = a[r×ca]ᵀ · b[r×cb]` on raw row-major slices: the kernel of
+/// [`crate::Matrix::transpose_matmul_into`].  `out` is overwritten.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its stated shape.
+pub fn transpose_matmul_slices(
+    a: &[f64],
+    r: usize,
+    ca: usize,
+    b: &[f64],
+    cb: usize,
+    out: &mut [f64],
+) {
+    assert_shapes(
+        "transpose_matmul_slices",
+        [(a.len(), r, ca), (b.len(), r, cb), (out.len(), ca, cb)],
+    );
+    transpose_matmul_blocked(a, r, ca, b, cb, out);
+}
+
 /// `out[m×n] = a[m×k] · b[k×n]`, blocked over `k` and `j`, parallel over
 /// output-row bands.
 pub(crate) fn matmul_blocked(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
@@ -301,6 +370,37 @@ mod tests {
         (0..rows * cols)
             .map(|i| ((i * 37 % 101) as f64 - 50.0) * scale)
             .collect()
+    }
+
+    #[test]
+    fn slice_entry_points_match_the_matrix_products_bit_for_bit() {
+        use crate::Matrix;
+        let (m, k, n) = (7, 5, 9);
+        let a = Matrix::from_vec(m, k, seq_matrix(m, k, 0.01));
+        let b = Matrix::from_vec(k, n, seq_matrix(k, n, 0.02));
+        let bt = Matrix::from_vec(n, k, seq_matrix(n, k, 0.03));
+        let c = Matrix::from_vec(m, n, seq_matrix(m, n, 0.04));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // Stale output contents must be overwritten, not accumulated.
+        let mut out = vec![f64::NAN; m * n];
+        matmul_slices(a.as_slice(), m, k, b.as_slice(), n, &mut out);
+        assert_eq!(bits(&out), bits(a.matmul(&b).as_slice()));
+
+        out.fill(f64::NAN);
+        matmul_transpose_slices(a.as_slice(), m, k, bt.as_slice(), n, &mut out);
+        assert_eq!(bits(&out), bits(a.matmul_transpose(&bt).as_slice()));
+
+        let mut out = vec![f64::NAN; k * n];
+        transpose_matmul_slices(a.as_slice(), m, k, c.as_slice(), n, &mut out);
+        assert_eq!(bits(&out), bits(a.transpose_matmul(&c).as_slice()));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not 5x9")]
+    fn slice_entry_points_check_shapes() {
+        let mut out = vec![0.0; 4];
+        matmul_slices(&[0.0; 35], 7, 5, &[0.0; 44], 9, &mut out);
     }
 
     #[test]

@@ -69,8 +69,9 @@ mod stats;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use dispatch::{force_portable_kernels, kernel_isa, PORTABLE_ENV};
+pub use dispatch::{force_portable_kernels, kernel_isa, simd_active, PORTABLE_ENV};
 pub use error::LinalgError;
+pub use kernels::{matmul_slices, matmul_transpose_slices, transpose_matmul_slices};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use stats::{mean, sample_std, standardize, Standardizer};

@@ -258,8 +258,21 @@ impl Matrix {
     ///
     /// Panics if `v.len() != nrows()`.
     pub fn vecmat(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "vecmat dimension mismatch");
         let mut out = vec![0.0; self.cols];
+        self.vecmat_into(v, &mut out);
+        out
+    }
+
+    /// Vector-matrix product `vᵀ * self` written into a caller-provided
+    /// buffer (no allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != nrows()` or `out.len() != ncols()`.
+    pub fn vecmat_into(&self, v: &[f64], out: &mut [f64]) {
+        assert_eq!(v.len(), self.rows, "vecmat dimension mismatch");
+        assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
+        out.fill(0.0);
         for i in 0..self.rows {
             let row = self.row(i);
             let vi = v[i];
@@ -267,7 +280,6 @@ impl Matrix {
                 *o += vi * r;
             }
         }
-        out
     }
 
     /// Matrix product `self * other`.

@@ -47,6 +47,30 @@ impl Activation {
             Activation::Identity => 1.0,
         }
     }
+
+    /// `dst[i] = apply(src[i])`, with the activation chosen once outside the
+    /// loop so the ReLU and identity cases vectorise.
+    pub(crate) fn apply_into(self, src: &[f64], dst: &mut [f64]) {
+        debug_assert_eq!(src.len(), dst.len());
+        match self {
+            Activation::ReLU => dst.iter_mut().zip(src).for_each(|(d, &x)| *d = x.max(0.0)),
+            Activation::Tanh => dst.iter_mut().zip(src).for_each(|(d, &x)| *d = x.tanh()),
+            Activation::Identity => dst.copy_from_slice(src),
+        }
+    }
+
+    /// `grad[i] *= derivative(pre[i])`: turns `∂loss/∂output` into
+    /// `∂loss/∂pre-activation` in place, with the same per-element product
+    /// as the scalar [`Activation::derivative`].
+    pub(crate) fn scale_by_derivative(self, pre: &[f64], grad: &mut [f64]) {
+        debug_assert_eq!(pre.len(), grad.len());
+        let pairs = grad.iter_mut().zip(pre);
+        match self {
+            Activation::ReLU => pairs.for_each(|(g, &x)| *g *= Activation::ReLU.derivative(x)),
+            Activation::Tanh => pairs.for_each(|(g, &x)| *g *= Activation::Tanh.derivative(x)),
+            Activation::Identity => pairs.for_each(|(g, _)| *g *= 1.0),
+        }
+    }
 }
 
 #[cfg(test)]

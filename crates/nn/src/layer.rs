@@ -1,6 +1,6 @@
 //! A single fully-connected layer.
 
-use nnbo_linalg::Matrix;
+use nnbo_linalg::{matmul_slices, matmul_transpose_slices, transpose_matmul_slices, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -15,15 +15,6 @@ pub struct DenseLayer {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
-}
-
-/// Gradient of a loss with respect to one [`DenseLayer`]'s parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerGradient {
-    /// Gradient with respect to the weight matrix (same shape as the weights).
-    pub weights: Matrix,
-    /// Gradient with respect to the bias vector.
-    pub bias: Vec<f64>,
 }
 
 impl DenseLayer {
@@ -124,55 +115,89 @@ impl DenseLayer {
         self.pre_activation(input).map(|x| act.apply(x))
     }
 
-    /// Back-propagates `grad_output` (gradient of the loss with respect to this
-    /// layer's *post-activation* output, shape `N x out`).
-    ///
-    /// Returns the parameter gradient and the gradient with respect to the layer
-    /// input (shape `N x in`), given the cached `input` and `pre_activation` from the
-    /// forward pass.
-    pub fn backward(
+    /// Splits this layer's slice of a flat parameter vector (the
+    /// [`Self::append_params`] layout) into weights (`out × in`, row-major)
+    /// and bias.
+    fn split_params<'p>(&self, params: &'p [f64]) -> (&'p [f64], &'p [f64]) {
+        assert_eq!(
+            params.len(),
+            self.num_params(),
+            "layer parameter count mismatch"
+        );
+        params.split_at(self.output_dim() * self.input_dim())
+    }
+
+    /// Training forward pass with the parameters read from `params` (this
+    /// layer's slice of a flat parameter vector) instead of the layer's own
+    /// storage: writes `Z = X Wᵀ + b` into `pre` and `act(Z)` into `out`,
+    /// both `N × out`, where `input` is the row-major `N × in` batch.  Same
+    /// arithmetic as [`Self::forward`].
+    pub(crate) fn forward_into(
         &self,
-        input: &Matrix,
-        pre_activation: &Matrix,
-        grad_output: &Matrix,
-    ) -> (LayerGradient, Matrix) {
-        let act = self.activation;
-        // delta = grad_output ⊙ act'(z), shape N x out.
-        let delta = grad_output.hadamard(&pre_activation.map(|x| act.derivative(x)));
-        // dW = deltaᵀ X  (out x in);  db = column sums of delta.
-        let grad_weights = delta.transpose_matmul(input);
-        let mut grad_bias = vec![0.0; self.output_dim()];
-        for i in 0..delta.nrows() {
-            for (gb, d) in grad_bias.iter_mut().zip(delta.row(i).iter()) {
+        params: &[f64],
+        input: &[f64],
+        pre: &mut Matrix,
+        out: &mut Matrix,
+    ) {
+        let (weights, bias) = self.split_params(params);
+        let n = pre.nrows();
+        matmul_transpose_slices(
+            input,
+            n,
+            self.input_dim(),
+            weights,
+            self.output_dim(),
+            pre.as_mut_slice(),
+        );
+        for i in 0..n {
+            for (zj, bj) in pre.row_mut(i).iter_mut().zip(bias) {
+                *zj += bj;
+            }
+        }
+        self.activation
+            .apply_into(pre.as_slice(), out.as_mut_slice());
+    }
+
+    /// Back-propagation through the layer, with the parameters read from
+    /// `params` as in [`Self::forward_into`].
+    ///
+    /// On entry `delta` holds `∂loss/∂output` (`N × out`); on exit it holds
+    /// `∂loss/∂Z`.  The weight gradient `deltaᵀ X` and the bias gradient
+    /// (column sums of `delta`) are written into `grad`, this layer's slice
+    /// of the flat gradient (same layout as `params`).  `∂loss/∂input =
+    /// delta W` (`N × in`) is written into `grad_input` only when one is
+    /// given: the first layer's input gradient is never needed in training.
+    pub(crate) fn backward_into(
+        &self,
+        params: &[f64],
+        input: &[f64],
+        pre: &Matrix,
+        delta: &mut Matrix,
+        grad: &mut [f64],
+        grad_input: Option<&mut Matrix>,
+    ) {
+        let (weights, _) = self.split_params(params);
+        let (n, out_dim, in_dim) = (delta.nrows(), self.output_dim(), self.input_dim());
+        self.activation
+            .scale_by_derivative(pre.as_slice(), delta.as_mut_slice());
+        let (grad_weights, grad_bias) = grad.split_at_mut(out_dim * in_dim);
+        transpose_matmul_slices(delta.as_slice(), n, out_dim, input, in_dim, grad_weights);
+        grad_bias.fill(0.0);
+        for i in 0..n {
+            for (gb, d) in grad_bias.iter_mut().zip(delta.row(i)) {
                 *gb += d;
             }
         }
-        // grad_input = delta W, shape N x in.
-        let grad_input = delta.matmul(&self.weights);
-        (
-            LayerGradient {
-                weights: grad_weights,
-                bias: grad_bias,
-            },
-            grad_input,
-        )
-    }
-}
-
-impl LayerGradient {
-    /// A zero gradient with the same shape as `layer`.
-    pub fn zeros_like(layer: &DenseLayer) -> Self {
-        LayerGradient {
-            weights: Matrix::zeros(layer.output_dim(), layer.input_dim()),
-            bias: vec![0.0; layer.output_dim()],
+        if let Some(grad_input) = grad_input {
+            matmul_slices(
+                delta.as_slice(),
+                n,
+                out_dim,
+                weights,
+                in_dim,
+                grad_input.as_mut_slice(),
+            );
         }
-    }
-
-    /// Appends the gradient values to a flat vector (same ordering as
-    /// [`DenseLayer::append_params`]).
-    pub fn append_flat(&self, out: &mut Vec<f64>) {
-        out.extend_from_slice(self.weights.as_slice());
-        out.extend_from_slice(&self.bias);
     }
 }
 
@@ -218,6 +243,32 @@ mod tests {
         assert_eq!(y[(0, 0)], 0.0);
     }
 
+    /// Forward then backward through `layer` at its own parameters with
+    /// `∂loss/∂output = 1` (loss = sum of outputs); returns the parameter
+    /// gradient and the input gradient.
+    fn backward_of_sum(layer: &DenseLayer, x: &Matrix) -> (Vec<f64>, Matrix) {
+        let mut flat = Vec::new();
+        layer.append_params(&mut flat);
+        let shape = (x.nrows(), layer.output_dim());
+        let mut pre = Matrix::zeros(shape.0, shape.1);
+        let mut out = Matrix::zeros(shape.0, shape.1);
+        layer.forward_into(&flat, x.as_slice(), &mut pre, &mut out);
+        assert_eq!(out, layer.forward(x), "training forward must equal forward");
+        let mut delta = Matrix::filled(shape.0, shape.1, 1.0);
+        // Stale values in the reused buffers must be overwritten, not summed.
+        let mut grad = vec![f64::NAN; flat.len()];
+        let mut grad_in = Matrix::filled(x.nrows(), layer.input_dim(), f64::NAN);
+        layer.backward_into(
+            &flat,
+            x.as_slice(),
+            &pre,
+            &mut delta,
+            &mut grad,
+            Some(&mut grad_in),
+        );
+        (grad, grad_in)
+    }
+
     #[test]
     fn backward_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -225,14 +276,10 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.3, -0.4, 0.9], vec![1.1, 0.2, -0.6]]);
         // Loss = sum of outputs, so grad_output is all ones.
         let loss = |l: &DenseLayer| l.forward(&x).sum();
-        let grad_out = Matrix::filled(2, 2, 1.0);
-        let z = layer.pre_activation(&x);
-        let (grad, _) = layer.backward(&x, &z, &grad_out);
+        let (grad_flat, _) = backward_of_sum(&layer, &x);
 
         let mut flat = Vec::new();
         layer.append_params(&mut flat);
-        let mut grad_flat = Vec::new();
-        grad.append_flat(&mut grad_flat);
 
         let h = 1e-6;
         for k in 0..flat.len() {
@@ -258,9 +305,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let layer = DenseLayer::new(2, 3, Activation::Tanh, &mut rng);
         let x = Matrix::from_rows(&[vec![0.5, -0.2]]);
-        let grad_out = Matrix::filled(1, 3, 1.0);
-        let z = layer.pre_activation(&x);
-        let (_, grad_in) = layer.backward(&x, &z, &grad_out);
+        let (_, grad_in) = backward_of_sum(&layer, &x);
         let h = 1e-6;
         for j in 0..2 {
             let mut xp = x.clone();

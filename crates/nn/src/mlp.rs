@@ -4,7 +4,7 @@ use nnbo_linalg::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, DenseLayer, LayerGradient};
+use crate::{Activation, DenseLayer};
 
 /// Configuration of an [`Mlp`]: input dimension, hidden widths and output width.
 ///
@@ -71,50 +71,68 @@ impl MlpConfig {
     }
 }
 
-/// Cached intermediate values from a forward pass, needed for back-propagation.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Layer inputs: `inputs[0]` is the network input, `inputs[l]` the input to layer `l`.
-    inputs: Vec<Matrix>,
-    /// Pre-activations of each layer.
-    pre_activations: Vec<Matrix>,
-    /// Final output of the network.
-    output: Matrix,
+/// Reusable buffers of a training forward/backward pass.
+///
+/// One workspace serves every epoch of a descent: [`Mlp::forward_cached`]
+/// fills it and [`Mlp::backward`] reads it, and neither allocates once the
+/// buffers match the batch size.  It holds, per layer, the pre-activations
+/// `Z`, the layer outputs `act(Z)` and the gradient with respect to the
+/// layer output, which back-propagation turns into the delta `∂loss/∂Z` in
+/// place.  The last layer's gradient buffer is the `∂loss/∂output` the
+/// caller fills between the two passes ([`TrainWorkspace::output_and_grad`]).
+/// The network input is never copied: the first layer reads it by
+/// reference.
+#[derive(Debug, Clone, Default)]
+pub struct TrainWorkspace {
+    /// Pre-activations `Z_l`, `N × out_l`.
+    pre: Vec<Matrix>,
+    /// Layer outputs `act(Z_l)`, `N × out_l`.
+    out: Vec<Matrix>,
+    /// `∂loss/∂(output of layer l)`, overwritten by `∂loss/∂Z_l` during
+    /// [`Mlp::backward`], `N × out_l`.
+    grad: Vec<Matrix>,
 }
 
-impl ForwardCache {
-    /// The network output for the batch (shape `N x output_dim`).
-    pub fn output(&self) -> &Matrix {
-        &self.output
-    }
-}
-
-/// Gradient of a scalar loss with respect to all [`Mlp`] parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpGradient {
-    layers: Vec<LayerGradient>,
-}
-
-impl MlpGradient {
-    /// Flattens the gradient in the same ordering as [`Mlp::flat_params`].
-    pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.append_flat(&mut out);
-        out
+impl TrainWorkspace {
+    /// An empty workspace; the first forward pass sizes it.
+    pub fn new() -> Self {
+        TrainWorkspace::default()
     }
 
-    /// Appends the flattened gradient (same ordering as [`Mlp::flat_params`])
-    /// to `out` without allocating a fresh vector — training loops that reuse
-    /// one gradient buffer across epochs clear and refill it through this.
-    pub fn append_flat(&self, out: &mut Vec<f64>) {
-        for l in &self.layers {
-            l.append_flat(out);
+    /// Resizes the buffers for a batch of `n` rows through `mlp`, keeping
+    /// them when the shapes already match.
+    fn prepare(&mut self, mlp: &Mlp, n: usize) {
+        let layers = mlp.layers();
+        let fits = self.pre.len() == layers.len()
+            && layers
+                .iter()
+                .zip(&self.pre)
+                .all(|(l, z)| z.shape() == (n, l.output_dim()));
+        if !fits {
+            let buffers = || {
+                layers
+                    .iter()
+                    .map(|l| Matrix::zeros(n, l.output_dim()))
+                    .collect::<Vec<_>>()
+            };
+            self.pre = buffers();
+            self.out = buffers();
+            self.grad = buffers();
         }
     }
 
-    /// Per-layer gradients.
-    pub fn layers(&self) -> &[LayerGradient] {
-        &self.layers
+    /// The network output of the last [`Mlp::forward_cached`] (`N ×
+    /// output_dim`), together with the `∂loss/∂output` buffer (same shape)
+    /// that [`Mlp::backward`] back-propagates.  The caller overwrites
+    /// every entry of the buffer; its previous contents are stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass has run yet.
+    pub fn output_and_grad(&mut self) -> (&Matrix, &mut Matrix) {
+        let out = self.out.last().expect("forward_cached has not run");
+        let grad = self.grad.last_mut().expect("forward_cached has not run");
+        (out, grad)
     }
 }
 
@@ -222,60 +240,68 @@ impl Mlp {
         cur
     }
 
-    /// Forward pass that caches everything back-propagation needs.
+    /// Training forward pass: runs the batch `x` (`N × input_dim`) through
+    /// the network with the parameters read from `params` (the
+    /// [`Self::flat_params`] layout) and keeps everything back-propagation
+    /// needs in `ws`.  The network's own weights are not read, so a descent
+    /// can keep one flat parameter vector and load it into the network only
+    /// at the end.  Same arithmetic as [`Self::forward_batch`] at the same
+    /// parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `x.ncols() != input_dim()`.
-    pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
+    /// Panics if `x.ncols() != input_dim()` or `params.len() != num_params()`.
+    pub fn forward_cached(&self, params: &[f64], x: &Matrix, ws: &mut TrainWorkspace) {
         assert_eq!(x.ncols(), self.input_dim(), "input dimension mismatch");
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for l in &self.layers {
-            inputs.push(cur.clone());
-            let z = l.pre_activation(&cur);
-            let act = l.activation();
-            cur = z.map(|v| act.apply(v));
-            pre_activations.push(z);
-        }
-        ForwardCache {
-            inputs,
-            pre_activations,
-            output: cur,
+        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
+        ws.prepare(self, x.nrows());
+        let mut offset = 0;
+        for (idx, layer) in self.layers.iter().enumerate() {
+            let layer_params = &params[offset..offset + layer.num_params()];
+            offset += layer.num_params();
+            let (done, rest) = ws.out.split_at_mut(idx);
+            let input = done.last().map_or(x.as_slice(), Matrix::as_slice);
+            layer.forward_into(layer_params, input, &mut ws.pre[idx], &mut rest[0]);
         }
     }
 
-    /// Back-propagates `grad_output` (∂loss/∂output, shape `N x output_dim`) through
-    /// the network, returning the parameter gradient and ∂loss/∂input.
+    /// Back-propagates the `∂loss/∂output` the caller wrote into
+    /// [`TrainWorkspace::output_and_grad`] through the network, writing the
+    /// parameter gradient into `grad` (the [`Self::flat_params`] layout).
+    /// `params`, `x` and `ws` must be those of the preceding
+    /// [`Self::forward_cached`].  Every entry of `grad` is overwritten, and
+    /// the gradient with respect to the network input is not computed.
     ///
     /// # Panics
     ///
-    /// Panics if the cache does not match this network's layer count or the gradient
-    /// shape does not match the cached output.
-    pub fn backward(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGradient, Matrix) {
-        assert_eq!(
-            cache.inputs.len(),
-            self.layers.len(),
-            "forward cache does not match network depth"
+    /// Panics if `params` or `grad` does not have `num_params()` entries, or
+    /// `ws` was not filled by a forward pass over `x`.
+    pub fn backward(&self, params: &[f64], x: &Matrix, ws: &mut TrainWorkspace, grad: &mut [f64]) {
+        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
+        assert_eq!(grad.len(), self.num_params(), "gradient length mismatch");
+        assert!(
+            ws.pre.len() == self.layers.len()
+                && ws.pre.first().is_some_and(|z| z.nrows() == x.nrows()),
+            "workspace does not hold a forward pass over this batch"
         );
-        assert_eq!(
-            grad_output.shape(),
-            cache.output.shape(),
-            "gradient shape does not match cached output"
-        );
-        let mut grads: Vec<LayerGradient> = Vec::with_capacity(self.layers.len());
-        let mut grad = grad_output.clone();
-        let mut per_layer: Vec<LayerGradient> = Vec::with_capacity(self.layers.len());
+        let mut end = self.num_params();
         for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (g, grad_in) =
-                layer.backward(&cache.inputs[idx], &cache.pre_activations[idx], &grad);
-            per_layer.push(g);
-            grad = grad_in;
+            let start = end - layer.num_params();
+            let input = match idx {
+                0 => x.as_slice(),
+                _ => ws.out[idx - 1].as_slice(),
+            };
+            let (below, at) = ws.grad.split_at_mut(idx);
+            layer.backward_into(
+                &params[start..end],
+                input,
+                &ws.pre[idx],
+                &mut at[0],
+                &mut grad[start..end],
+                below.last_mut(),
+            );
+            end = start;
         }
-        per_layer.reverse();
-        grads.extend(per_layer);
-        (MlpGradient { layers: grads }, grad)
     }
 }
 
@@ -327,17 +353,52 @@ mod tests {
         assert_eq!(copy.forward(&x), mlp.forward(&x));
     }
 
+    /// Gradient of the sum-of-squares loss `Σ out²` at the network's own
+    /// parameters, through a caller-provided workspace and gradient buffer.
+    fn sum_of_squares_gradient(mlp: &Mlp, x: &Matrix, ws: &mut TrainWorkspace, grad: &mut [f64]) {
+        let params = mlp.flat_params();
+        mlp.forward_cached(&params, x, ws);
+        let (out, grad_out) = ws.output_and_grad();
+        for (g, o) in grad_out.as_mut_slice().iter_mut().zip(out.as_slice()) {
+            *g = 2.0 * o;
+        }
+        mlp.backward(&params, x, ws, grad);
+    }
+
     #[test]
     fn gradient_append_flat_reuses_the_buffer() {
+        // A reused workspace and gradient buffer — stale values from another
+        // batch and another network — give the bits of fresh ones.
         let mlp = small_mlp(8);
         let x = Matrix::from_rows(&[vec![0.2, -0.5, 0.8]]);
-        let cache = mlp.forward_cached(&x);
-        let grad_out = Matrix::filled(1, 2, 1.0);
-        let (grad, _) = mlp.backward(&cache, &grad_out);
-        let mut buf = vec![42.0; 3];
-        buf.clear();
-        grad.append_flat(&mut buf);
-        assert_eq!(buf, grad.to_flat());
+        let mut fresh = vec![0.0; mlp.num_params()];
+        sum_of_squares_gradient(&mlp, &x, &mut TrainWorkspace::new(), &mut fresh);
+
+        let mut ws = TrainWorkspace::new();
+        let mut reused = vec![42.0; mlp.num_params()];
+        let other = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-1.0, 0.5, 0.0]]);
+        sum_of_squares_gradient(&small_mlp(9), &other, &mut ws, &mut reused);
+        sum_of_squares_gradient(&mlp, &x, &mut ws, &mut reused);
+        assert_eq!(
+            reused.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+            fresh.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn training_forward_is_bit_identical_to_the_batched_forward() {
+        let mlp = small_mlp(10);
+        let x = Matrix::from_rows(&[vec![0.2, -0.5, 0.8], vec![-0.3, 0.6, 0.1]]);
+        let mut ws = TrainWorkspace::new();
+        mlp.forward_cached(&mlp.flat_params(), &x, &mut ws);
+        let batched = mlp.forward_batch(&x);
+        assert!(ws
+            .output_and_grad()
+            .0
+            .as_slice()
+            .iter()
+            .zip(batched.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
@@ -349,10 +410,8 @@ mod tests {
             let out = m.forward_batch(&x);
             out.as_slice().iter().map(|v| v * v).sum::<f64>()
         };
-        let cache = mlp.forward_cached(&x);
-        let grad_out = cache.output().map(|v| 2.0 * v);
-        let (grad, _) = mlp.backward(&cache, &grad_out);
-        let analytic = grad.to_flat();
+        let mut analytic = vec![0.0; mlp.num_params()];
+        sum_of_squares_gradient(&mlp, &x, &mut TrainWorkspace::new(), &mut analytic);
 
         let base = mlp.flat_params();
         let h = 1e-6;
@@ -370,24 +429,6 @@ mod tests {
             max_err = max_err.max((fd - analytic[k]).abs());
         }
         assert!(max_err < 1e-4, "max gradient error {max_err}");
-    }
-
-    #[test]
-    fn backward_input_gradient_matches_finite_differences() {
-        let mlp = small_mlp(5);
-        let x = Matrix::from_rows(&[vec![0.7, -0.1, 0.4]]);
-        let cache = mlp.forward_cached(&x);
-        let grad_out = Matrix::filled(1, 2, 1.0);
-        let (_, grad_in) = mlp.backward(&cache, &grad_out);
-        let h = 1e-6;
-        for j in 0..3 {
-            let mut xp = x.clone();
-            xp[(0, j)] += h;
-            let mut xm = x.clone();
-            xm[(0, j)] -= h;
-            let fd = (mlp.forward_batch(&xp).sum() - mlp.forward_batch(&xm).sum()) / (2.0 * h);
-            assert!((fd - grad_in[(0, j)]).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration tests: train small MLPs end-to-end on regression tasks.
 
 use nnbo_linalg::Matrix;
-use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, Optimizer};
+use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, Optimizer, TrainWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -10,16 +10,21 @@ fn train_mse(mlp: &mut Mlp, x: &Matrix, y: &Matrix, epochs: usize, lr: f64) -> f
     let mut adam = Adam::with_learning_rate(lr);
     let n = x.nrows() as f64;
     let mut last = f64::INFINITY;
+    let mut ws = TrainWorkspace::new();
+    let mut params = mlp.flat_params();
+    let mut grad = vec![0.0; params.len()];
     for _ in 0..epochs {
-        let cache = mlp.forward_cached(x);
-        let diff = cache.output() - y;
+        mlp.forward_cached(&params, x, &mut ws);
+        let (out, grad_out) = ws.output_and_grad();
+        let diff = out - y;
         last = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-        let grad_out = diff.map(|d| 2.0 * d / n);
-        let (grad, _) = mlp.backward(&cache, &grad_out);
-        let mut params = mlp.flat_params();
-        adam.step(&mut params, &grad.to_flat());
-        mlp.set_flat_params(&params);
+        for (g, d) in grad_out.as_mut_slice().iter_mut().zip(diff.as_slice()) {
+            *g = 2.0 * d / n;
+        }
+        mlp.backward(&params, x, &mut ws, &mut grad);
+        adam.step(&mut params, &grad);
     }
+    mlp.set_flat_params(&params);
     last
 }
 
