@@ -591,8 +591,9 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     /// The snapshot records everything [`BayesOpt::resume`] needs to continue
     /// the run *bit-identically*: the evaluation history, the exact rng
     /// stream position, the fitted surrogates (serialized through the
-    /// self-describing value tree, which round-trips every `f64` exactly),
-    /// the refit-policy bookkeeping and the recovery log.
+    /// self-describing value tree, which round-trips every `f64` exactly;
+    /// matrix payloads are stored by bit pattern), the refit-policy
+    /// bookkeeping and the recovery log.
     pub fn snapshot(&self, state: &BoState<T::Model>) -> BoSnapshot
     where
         T::Model: Serialize,
@@ -1248,14 +1249,19 @@ impl<M> BoState<M> {
 /// Snapshot format version written by this build (bumped on any breaking
 /// layout change; [`BayesOpt::resume`] refuses other versions).  Version 2
 /// added the [`SuggestStrategy`] configuration field and the accumulated
-/// [`SuggestCost`] counters.
-const SNAPSHOT_VERSION: u32 = 2;
+/// [`SuggestCost`] counters.  Version 3: hex bit-pattern matrix payloads
+/// (every `Matrix` stores its `data` as 16 hex digits of `to_bits()` per
+/// element instead of an array of decimal floats).
+const SNAPSHOT_VERSION: u32 = 3;
 
 /// A versioned, serializable checkpoint of an optimization run — see
 /// [`BayesOpt::snapshot`] and [`BayesOpt::resume`].
 ///
-/// Serialize it with [`BoSnapshot::to_json`] (every finite `f64`
-/// round-trips bit-exactly) or through the `serde` value tree directly.
+/// Serialize it with [`BoSnapshot::to_json`] (every `f64` round-trips
+/// bit-exactly) or through the `serde` value tree directly.  Matrix payloads
+/// are stored by bit pattern, so the network weights and factorizations that
+/// make up most of a neural snapshot skip decimal float formatting; the
+/// remaining scalars use the shortest round-trip decimal form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BoSnapshot {
     version: u32,
@@ -2065,12 +2071,15 @@ mod tests {
         assert!(bo.step(&problem, &mut state).unwrap());
         let snap = bo.snapshot(&state);
 
-        let mut wrong_version = snap.clone();
-        wrong_version.version = SNAPSHOT_VERSION + 1;
-        assert!(matches!(
-            bo.resume(&wrong_version),
-            Err(BoError::SnapshotMismatch { .. })
-        ));
+        // Newer, and version 2, whose matrices were arrays of decimal floats.
+        for version in [SNAPSHOT_VERSION + 1, 2] {
+            let mut wrong_version = snap.clone();
+            wrong_version.version = version;
+            assert!(matches!(
+                bo.resume(&wrong_version),
+                Err(BoError::SnapshotMismatch { .. })
+            ));
+        }
 
         let other_config = fast_neural(BoConfig::fast(6, 12).with_seed(2));
         assert!(matches!(

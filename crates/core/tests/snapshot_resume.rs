@@ -4,7 +4,8 @@
 //! drift windows with incrementally-updated surrogates, JSON round-trips).
 
 use nnbo_core::problems::{ConstrainedBranin, Hartmann6};
-use nnbo_core::{BayesOpt, BoConfig, BoSnapshot, EnsembleConfig, Problem, RefitPolicy};
+use nnbo_core::{BayesOpt, BoConfig, BoError, BoSnapshot, EnsembleConfig, Problem, RefitPolicy};
+use serde::{Deserialize, Serialize, Value};
 
 fn driver(config: BoConfig) -> BayesOpt<nnbo_core::NeuralGpEnsembleTrainer> {
     BayesOpt::neural_with(config, EnsembleConfig::fast())
@@ -98,4 +99,61 @@ fn resume_is_transparent_on_unconstrained_problems() {
 fn snapshot_before_any_step_resumes_the_whole_guided_phase() {
     let problem = ConstrainedBranin::new();
     assert_resume_transparent(BoConfig::fast(6, 12).with_seed(57), &problem, 0);
+}
+
+/// Rewrites every hex `Matrix` payload in a value tree as the array of
+/// decimal floats that version-2 checkpoints stored.
+fn to_float_array_matrices(value: &mut Value) {
+    match value {
+        Value::Map(fields) => {
+            for (key, item) in fields.iter_mut() {
+                match item {
+                    Value::Str(hex) if key == "data" => {
+                        let floats = hex
+                            .as_bytes()
+                            .chunks(16)
+                            .map(|d| std::str::from_utf8(d).unwrap())
+                            .map(|d| f64::from_bits(u64::from_str_radix(d, 16).unwrap()))
+                            .map(Value::F64)
+                            .collect();
+                        *item = Value::Seq(floats);
+                    }
+                    _ => to_float_array_matrices(item),
+                }
+            }
+        }
+        Value::Seq(items) => items.iter_mut().for_each(to_float_array_matrices),
+        _ => {}
+    }
+}
+
+#[test]
+fn version_2_checkpoints_are_refused() {
+    let problem = ConstrainedBranin::new();
+    let bo = driver(BoConfig::fast(6, 12).with_seed(23));
+    let mut state = bo.start(&problem).unwrap();
+    assert!(bo.step(&problem, &mut state).unwrap());
+    let json = bo.snapshot(&state).to_json();
+    assert!(json.starts_with(r#"{"version":3,"#), "{}", &json[..20]);
+
+    // A checkpoint labelled version 2 parses but does not resume.
+    let v2 = BoSnapshot::from_json(&json.replacen("3", "2", 1)).unwrap();
+    assert_eq!(v2.version(), 2);
+    assert!(matches!(
+        bo.resume(&v2),
+        Err(BoError::SnapshotMismatch { .. })
+    ));
+
+    // The version-2 matrix layout under a forged version-3 label is refused
+    // as a model payload, not decoded into a wrong model.
+    let mut tree = bo.snapshot(&state).to_value();
+    to_float_array_matrices(&mut tree);
+    let forged = BoSnapshot::from_value(&tree).unwrap();
+    assert_eq!(forged.version(), 3);
+    match bo.resume(&forged) {
+        Err(BoError::SnapshotMismatch { details }) => {
+            assert!(details.contains("model payload"), "{details}")
+        }
+        other => panic!("expected SnapshotMismatch, got {:?}", other.map(|_| ())),
+    }
 }

@@ -11,9 +11,11 @@
 //!   [`BayesOpt::neural`] run on the op-amp.
 //!
 //! The expected values were recorded before the training epoch was made
-//! allocation-free.  They are only asserted on x86_64 Linux, the platform
-//! they were recorded on: the NLL goes through the system `exp`/`ln`, whose
-//! last bits are not specified across platforms.
+//! allocation-free, when a `Matrix` still serialized as an array of floats;
+//! the state hash decodes today's hex `data` payload back to those floats.
+//! They are only asserted on x86_64 Linux, the platform they were recorded
+//! on: the NLL goes through the system `exp`/`ln`, whose last bits are not
+//! specified across platforms.
 //!
 //! The tests flip the process-wide [`nnbo_linalg::force_portable_kernels`]
 //! switch, so they live in their own binary and take one lock.
@@ -100,9 +102,24 @@ impl Fnv {
             Value::Map(fields) => {
                 for (key, item) in fields {
                     self.bytes(key.as_bytes());
-                    self.value(item);
+                    match (key.as_str(), item) {
+                        ("data", Value::Str(hex)) => self.matrix_payload(hex),
+                        _ => self.value(item),
+                    }
                 }
             }
+        }
+    }
+
+    /// Hashes a `Matrix` `data` payload (16 hex digits of `to_bits()` per
+    /// element) exactly as the float sequence it encodes, so the pins
+    /// recorded when matrices serialized as float arrays still apply.
+    fn matrix_payload(&mut self, hex: &str) {
+        assert_eq!(hex.len() % 16, 0, "matrix payload of {} digits", hex.len());
+        for digits in hex.as_bytes().chunks(16) {
+            let digits = std::str::from_utf8(digits).unwrap();
+            let bits = u64::from_str_radix(digits, 16).expect("hex matrix payload");
+            self.f64(f64::from_bits(bits));
         }
     }
 }

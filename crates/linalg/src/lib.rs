@@ -34,6 +34,13 @@
 //! the required features.  [`kernel_isa`] reports which path is active so
 //! benchmark artifacts can record it.
 //!
+//! # Serialized form
+//!
+//! A [`Matrix`] serializes to `{rows, cols, data}` with `data` one string of
+//! 16 lowercase hex digits per element (the `to_bits()` of each `f64`,
+//! row-major), so checkpoints restore every bit without decimal float
+//! formatting; malformed payloads decode to a `serde::DeError`.
+//!
 //! # Example
 //!
 //! ```

@@ -1,6 +1,6 @@
 //! Row-major dense matrix type.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -22,7 +22,26 @@ use crate::LinalgError;
 /// let c = a.matmul(&b);
 /// assert_eq!(c[(1, 0)], 3.0);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+///
+/// # Serialized form
+///
+/// A matrix serializes to the map `{rows, cols, data}`, where `data` is one
+/// string holding 16 lowercase hex digits per element, row-major: the
+/// [`f64::to_bits`] of each entry.  Decoding restores every bit, so `-0.0`,
+/// subnormals and NaN payloads round-trip exactly.
+///
+/// ```
+/// use nnbo_linalg::Matrix;
+///
+/// let m = Matrix::from_vec(1, 2, vec![1.0, -0.0]);
+/// let json = serde::to_json_string(&m);
+/// assert_eq!(
+///     json,
+///     r#"{"rows":1,"cols":2,"data":"3ff00000000000008000000000000000"}"#
+/// );
+/// assert_eq!(serde::from_json_str::<Matrix>(&json).unwrap(), m);
+/// ```
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -727,6 +746,105 @@ impl fmt::Display for Matrix {
 impl Default for Matrix {
     fn default() -> Self {
         Matrix::zeros(0, 0)
+    }
+}
+
+/// Characters per element in the serialized `data` payload.
+const HEX_PER_ELEMENT: usize = 16;
+
+/// The two lowercase hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        pairs[byte] = [DIGITS[byte >> 4], DIGITS[byte & 0xf]];
+        byte += 1;
+    }
+    pairs
+};
+
+/// The value of every lowercase hex digit; `INVALID_DIGIT` for any other
+/// byte.  Table lookups keep decoding free of data-dependent branches.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [INVALID_DIGIT; 256];
+    let mut digit = 0;
+    while digit < 10 {
+        values[b'0' as usize + digit] = digit as u8;
+        digit += 1;
+    }
+    while digit < 16 {
+        values[b'a' as usize + digit - 10] = digit as u8;
+        digit += 1;
+    }
+    values
+};
+
+/// Marks a byte that is not a lowercase hex digit (any value above `0xf`).
+const INVALID_DIGIT: u8 = 0xff;
+
+impl Serialize for Matrix {
+    fn to_value(&self) -> Value {
+        let mut hex = Vec::with_capacity(self.data.len() * HEX_PER_ELEMENT);
+        for &x in &self.data {
+            let mut digits = [0u8; HEX_PER_ELEMENT];
+            for (pair, byte) in digits.chunks_exact_mut(2).zip(x.to_bits().to_be_bytes()) {
+                pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+            }
+            hex.extend_from_slice(&digits);
+        }
+        let hex = String::from_utf8(hex).expect("hex digits are ASCII");
+        Value::Map(vec![
+            ("rows".to_string(), self.rows.to_value()),
+            ("cols".to_string(), self.cols.to_value()),
+            ("data".to_string(), Value::Str(hex)),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for Matrix {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| DeError::expected("map for struct Matrix"))?;
+        let rows: usize = serde::from_field(entries, "rows", "Matrix")?;
+        let cols: usize = serde::from_field(entries, "cols", "Matrix")?;
+        let hex = match value.get("data") {
+            Some(Value::Str(hex)) => hex.as_bytes(),
+            Some(_) => return Err(DeError::expected("hex string for field `data` of Matrix")),
+            None => return Err(DeError::new("missing field `data` of struct Matrix")),
+        };
+        let len = rows
+            .checked_mul(cols)
+            .ok_or_else(|| DeError::new(format!("Matrix shape {rows}x{cols} overflows usize")))?;
+        if len.checked_mul(HEX_PER_ELEMENT) != Some(hex.len()) {
+            return Err(DeError::new(format!(
+                "Matrix {rows}x{cols} needs {len} elements of {HEX_PER_ELEMENT} hex digits, \
+                 got {} digits",
+                hex.len()
+            )));
+        }
+        let mut data = Vec::with_capacity(len);
+        for digits in hex.chunks_exact(HEX_PER_ELEMENT) {
+            // `values` ORs every digit's value: above 0xf iff one is invalid.
+            let (mut bits, mut values) = (0u64, 0u8);
+            for &digit in digits {
+                let value = HEX_VALUES[usize::from(digit)];
+                values |= value;
+                bits = (bits << 4) | u64::from(value & 0xf);
+            }
+            if values > 0xf {
+                let bad = digits
+                    .iter()
+                    .find(|&&d| HEX_VALUES[usize::from(d)] > 0xf)
+                    .expect("a digit was flagged invalid");
+                return Err(DeError::new(format!(
+                    "Matrix data holds byte {bad:#04x}, not a lowercase hex digit"
+                )));
+            }
+            data.push(f64::from_bits(bits));
+        }
+        Ok(Matrix { rows, cols, data })
     }
 }
 
