@@ -80,7 +80,7 @@ impl FitBenchEntry {
 
 /// Shared design points and target columns (one objective plus two
 /// constraint-like outputs) for the fit-path measurements — used by both
-/// `reproduce fit` and the `fit_path` criterion bench so they exercise the
+/// `reproduce fit` and the surrogate-lifecycle tests so they exercise the
 /// same workload.
 pub fn fit_dataset(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let rng = &mut StdRng::seed_from_u64(seed);

@@ -204,22 +204,6 @@ impl BoConfig {
         self
     }
 
-    /// Sets a fixed full-refit cadence.
-    ///
-    /// Deprecated shim over [`BoConfig::with_refit_policy`]: equivalent to
-    /// `with_refit_policy(RefitPolicy::Fixed(refit_every))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `refit_every` is zero.
-    #[deprecated(
-        note = "use with_refit_policy(RefitPolicy::Fixed(k)) — or RefitPolicy::NllDrift for the adaptive policy"
-    )]
-    pub fn with_refit_every(self, refit_every: usize) -> Self {
-        assert!(refit_every > 0, "refit_every must be at least 1");
-        self.with_refit_policy(RefitPolicy::Fixed(refit_every))
-    }
-
     /// Sets the surrogate refit policy (see [`RefitPolicy`]).
     pub fn with_refit_policy(mut self, refit: RefitPolicy) -> Self {
         self.refit = refit;
@@ -1697,7 +1681,6 @@ mod tests {
     fn refit_every_one_matches_the_always_refit_reference() {
         // Fixed(1) must reproduce the plain always-refit loop exactly: the
         // incremental path never triggers and the rng stream is untouched.
-        // The deprecated with_refit_every shim maps onto the same policy.
         let problem = ConstrainedBranin::new();
         let base = fast_neural(BoConfig::fast(6, 12).with_seed(21))
             .run(&problem)
@@ -1712,30 +1695,6 @@ mod tests {
         assert_eq!(base.evaluations(), explicit.evaluations());
         // Always-refit means one full fit per model-guided iteration.
         assert_eq!(base.full_refits(), 12 - 6);
-        #[allow(deprecated)]
-        let shim = BoConfig::fast(6, 12).with_seed(21).with_refit_every(1);
-        assert_eq!(shim, BoConfig::fast(6, 12).with_seed(21));
-    }
-
-    #[test]
-    fn deprecated_refit_every_shim_maps_onto_fixed_policy() {
-        #[allow(deprecated)]
-        let shim = BoConfig::fast(8, 20).with_refit_every(5);
-        assert_eq!(shim.refit, RefitPolicy::Fixed(5));
-        let problem = ConstrainedBranin::new();
-        #[allow(deprecated)]
-        let via_shim = fast_neural(BoConfig::fast(6, 14).with_seed(9).with_refit_every(3))
-            .run(&problem)
-            .unwrap();
-        let via_policy = fast_neural(
-            BoConfig::fast(6, 14)
-                .with_seed(9)
-                .with_refit_policy(RefitPolicy::Fixed(3)),
-        )
-        .run(&problem)
-        .unwrap();
-        assert_eq!(via_shim.evaluations(), via_policy.evaluations());
-        assert_eq!(via_shim.full_refits(), via_policy.full_refits());
     }
 
     #[test]

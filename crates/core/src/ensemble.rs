@@ -421,7 +421,7 @@ impl SurrogateTrainer for NeuralGpEnsembleTrainer {
     /// as sequential [`NeuralGpEnsemble::fit`] calls, so the rng stream and —
     /// without previous models — every trained member are bit-identical to
     /// the sequential path), then all `outputs × members` trainings run as
-    /// one flat, core-capped job list ([`train_members`]) — the constraint
+    /// one flat, core-capped job list (`train_members`) — the constraint
     /// surrogates no longer wait for the objective's ensemble to finish, and
     /// the thread count never exceeds the hardware.
     ///
