@@ -1,7 +1,9 @@
-//! Shared framing for the hand-written `BENCH_*.json` documents (the
-//! workspace's serde is an offline no-op stand-in, so the emitters build the
-//! JSON text themselves; this module keeps the document skeleton in one
-//! place).
+//! Shared framing for the hand-written `BENCH_*.json` documents.  The
+//! emitters build the JSON text themselves rather than going through the
+//! workspace's serde, whose writer emits compact single-line JSON: the
+//! committed `BENCH_*.json` layout is an indented header with one row per
+//! line and fixed-precision numbers, so diffs between runs stay readable.
+//! This module keeps the document skeleton in one place.
 
 /// Builds a `BENCH_*.json` document: a `schema` / `generated_by` / `quick` /
 /// `isa` / `cores` header plus one array named `array_name` whose elements

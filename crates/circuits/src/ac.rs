@@ -3,8 +3,12 @@
 use serde::{Deserialize, Serialize};
 
 use crate::complex::Complex;
-use crate::dc::DcSolution;
-use crate::netlist::{Circuit, Element, NodeId, GROUND};
+
+/// Index of a circuit node.  Node [`GROUND`] (index 0) is the reference node.
+pub type NodeId = usize;
+
+/// The ground (reference) node.
+pub const GROUND: NodeId = 0;
 
 /// An element of a linear small-signal circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,104 +123,6 @@ impl SmallSignalCircuit {
     /// Elements of the circuit.
     pub fn elements(&self) -> &[SmallSignalElement] {
         &self.elements
-    }
-
-    /// Linearises a nonlinear [`Circuit`] around a DC operating point.
-    ///
-    /// Resistors become conductances, capacitors stay capacitors, independent
-    /// voltage sources become AC shorts (their nodes are tied to ground through a
-    /// very large conductance), independent current sources become opens, and each
-    /// MOSFET contributes its `gm`, `gds`, `cgs`, `cgd` and `cdb` from the operating
-    /// point.  The AC excitation is applied at `input` and read at `output`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of entries in `dc.mosfet_params` does not match the
-    /// number of MOSFETs in the circuit.
-    pub fn linearize(circuit: &Circuit, dc: &DcSolution, input: NodeId, output: NodeId) -> Self {
-        let mut ss = SmallSignalCircuit::new(circuit.node_count(), input, output);
-        let mut mos_idx = 0;
-        for element in circuit.elements() {
-            match element {
-                Element::Resistor { a, b, ohms } => ss.add(SmallSignalElement::Conductance {
-                    a: *a,
-                    b: *b,
-                    siemens: 1.0 / ohms,
-                }),
-                Element::Capacitor { a, b, farads } => ss.add(SmallSignalElement::Capacitor {
-                    a: *a,
-                    b: *b,
-                    farads: *farads,
-                }),
-                Element::CurrentSource { .. } => {}
-                Element::VoltageSource { plus, minus, .. } => {
-                    // AC short: an ideal DC supply has zero small-signal impedance.
-                    // Skip the AC input port itself (it is driven by the analysis).
-                    if *plus != input && *minus != input {
-                        ss.add(SmallSignalElement::Conductance {
-                            a: *plus,
-                            b: *minus,
-                            siemens: 1e9,
-                        });
-                    }
-                }
-                Element::Vccs {
-                    out_plus,
-                    out_minus,
-                    ctrl_plus,
-                    ctrl_minus,
-                    gm,
-                } => ss.add(SmallSignalElement::Vccs {
-                    out_plus: *out_plus,
-                    out_minus: *out_minus,
-                    ctrl_plus: *ctrl_plus,
-                    ctrl_minus: *ctrl_minus,
-                    gm: *gm,
-                }),
-                Element::Mosfet {
-                    drain,
-                    gate,
-                    source,
-                    ..
-                } => {
-                    let p = dc.mosfet_params[mos_idx];
-                    mos_idx += 1;
-                    ss.add(SmallSignalElement::Vccs {
-                        out_plus: *drain,
-                        out_minus: *source,
-                        ctrl_plus: *gate,
-                        ctrl_minus: *source,
-                        gm: p.gm,
-                    });
-                    ss.add(SmallSignalElement::Conductance {
-                        a: *drain,
-                        b: *source,
-                        siemens: p.gds,
-                    });
-                    ss.add(SmallSignalElement::Capacitor {
-                        a: *gate,
-                        b: *source,
-                        farads: p.cgs,
-                    });
-                    ss.add(SmallSignalElement::Capacitor {
-                        a: *gate,
-                        b: *drain,
-                        farads: p.cgd,
-                    });
-                    ss.add(SmallSignalElement::Capacitor {
-                        a: *drain,
-                        b: GROUND,
-                        farads: p.cdb,
-                    });
-                }
-            }
-        }
-        assert_eq!(
-            mos_idx,
-            dc.mosfet_params.len(),
-            "DC solution does not match the circuit's MOSFET count"
-        );
-        ss
     }
 
     /// Solves the circuit at angular frequency `omega` (rad/s) and returns the

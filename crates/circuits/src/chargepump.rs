@@ -153,8 +153,9 @@ enum Device {
 /// PVT corners.
 ///
 /// The paper's Table-II circuit is a proprietary SMIC 40 nm charge pump provided by
-/// the authors of the WEIBO paper; this testbench substitutes a physics-motivated
-/// behavioural model of the same structure (documented in `DESIGN.md`):
+/// the authors of the WEIBO paper.  Neither HSPICE nor the PDK is available
+/// offline, so this testbench substitutes a physics-motivated behavioural model of
+/// the same structure:
 ///
 /// * PMOS (UP) and NMOS (DOWN) output current sources built as cascoded mirrors with
 ///   series switches, referenced to a 40 µA bias branch;

@@ -1,27 +1,20 @@
 //! Analog circuit simulation substrate for the `nnbo` workspace.
 //!
 //! The paper evaluates its optimizer on two real circuits simulated with HSPICE on
-//! SMIC 180nm/40nm PDKs.  Neither the simulator nor the PDKs are available here, so
-//! this crate implements the substrate from scratch:
+//! SMIC 180nm/40nm PDKs.  Neither the simulator nor the PDKs are available offline,
+//! so the op-amp is a small-signal AC model and the charge pump is behavioural:
 //!
 //! * [`Complex`] — complex arithmetic for AC (frequency-domain) analysis;
-//! * [`Circuit`] / [`Element`] — netlists of resistors, capacitors, sources,
-//!   voltage-controlled current sources and level-1 MOSFETs;
-//! * [`MnaSystem`] — modified nodal analysis stamping, real (DC) and complex (AC);
-//! * [`DcAnalysis`] — Newton–Raphson operating-point solver with gmin stepping;
-//! * [`AcAnalysis`] / [`BodeMetrics`] — small-signal frequency sweeps and the
-//!   gain / unity-gain-frequency / phase-margin metrics used by the op-amp spec;
+//! * [`SmallSignalCircuit`] / [`AcAnalysis`] / [`BodeMetrics`] — complex-MNA
+//!   small-signal frequency sweeps and the gain / unity-gain-frequency /
+//!   phase-margin metrics used by the op-amp spec;
 //! * [`MosfetModel`] / [`MosTransistor`] — square-law (level-1) MOSFET model with
 //!   channel-length modulation and small-signal extraction;
-//! * [`TransientAnalysis`] / [`Waveform`] — fixed-step backward-Euler time-domain
-//!   simulation with pulse/sine stimuli;
 //! * [`TwoStageOpAmp`] — the Table-I testbench (10 design variables → GAIN/UGF/PM);
 //! * [`ChargePump`] + [`PvtCorner`] — the Table-II testbench (36 design variables,
 //!   18 PVT corners → current-matching metrics and FOM);
 //! * [`Testbench`] / [`CornerSweep`] — the declarative testbench layer and the PVT
 //!   corner-sweep combinator (see below).
-//!
-//! See `DESIGN.md` at the repository root for the substitution rationale.
 //!
 //! # Example
 //!
@@ -39,7 +32,7 @@
 //!
 //! Circuit problems compose declaratively instead of being hand-wired: a
 //! [`Testbench`] owns its design-space mapping (bounds + denormalisation), its
-//! netlist/MNA build, the analyses it runs and the metrics it measures, all behind
+//! circuit build, the analyses it runs and the metrics it measures, all behind
 //! one corner-aware entry point, [`Testbench::measure`].  A [`CornerSweep`] expands
 //! one testbench into K [`PvtCorner`] variants and measures one corner at a time
 //! with [`CornerSweep::run_corner`]; a failed corner surfaces as an error naming
@@ -77,27 +70,19 @@
 mod ac;
 mod chargepump;
 mod complex;
-mod dc;
-mod mna;
 mod mosfet;
-mod netlist;
 mod opamp;
 mod pvt;
 mod testbench;
-mod tran;
 
-pub use ac::{AcAnalysis, AcSweep, BodeMetrics, SmallSignalCircuit, SmallSignalElement};
+pub use ac::{
+    AcAnalysis, AcSweep, BodeMetrics, NodeId, SmallSignalCircuit, SmallSignalElement, GROUND,
+};
 pub use chargepump::{
     ChargePump, ChargePumpCornerMeasurement, ChargePumpPerformance, CHARGE_PUMP_DIM,
 };
 pub use complex::Complex;
-pub use dc::{DcAnalysis, DcError, DcSolution};
-pub use mna::MnaSystem;
 pub use mosfet::{MosPolarity, MosTransistor, MosfetModel, OperatingRegion, SmallSignalParams};
-pub use netlist::{Circuit, Element, NodeId, GROUND};
-pub use opamp::{
-    BiasedTwoStageOpAmp, OpAmpPerformance, TwoStageOpAmp, BIASED_OPAMP_DIM, OPAMP_DIM,
-};
+pub use opamp::{OpAmpPerformance, TwoStageOpAmp, OPAMP_DIM};
 pub use pvt::{Process, PvtCorner};
 pub use testbench::{CornerContext, CornerSweep, Testbench};
-pub use tran::{TransientAnalysis, TransientResult, Waveform};

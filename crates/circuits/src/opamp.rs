@@ -2,9 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ac::{AcAnalysis, AcSweep, SmallSignalCircuit, SmallSignalElement};
+use crate::ac::{AcAnalysis, AcSweep, SmallSignalCircuit, SmallSignalElement, GROUND};
 use crate::mosfet::{MosTransistor, MosfetModel};
-use crate::netlist::GROUND;
 use crate::pvt::PvtCorner;
 use crate::testbench::{CornerContext, Testbench};
 
@@ -415,166 +414,6 @@ impl Testbench for TwoStageOpAmp {
     }
 }
 
-/// Number of design variables of the bias-network-expanded op-amp problem.
-pub const BIASED_OPAMP_DIM: usize = OPAMP_DIM + 3;
-
-/// The bias-network-expanded two-stage op-amp: the same amplifier as
-/// [`TwoStageOpAmp`], but with the bias network opened up as three extra
-/// design variables — the ROADMAP's "full op-amp + bias networks"
-/// high-dimensional scenario.
-///
-/// The 13 design variables are the 10 sizing variables of
-/// [`TwoStageOpAmp::bounds`] followed by
-/// `[R_z, bias_mirror_ratio, output_stage_multiplier]`: the zero-nulling
-/// resistor of the compensation branch, the aspect ratio of the bias-mirror
-/// diode device (which scales the tail current mirrored from `Ibias`), and
-/// the current multiplication into the output stage.  On the fixed bench
-/// those three are baked-in constants; freeing them couples compensation,
-/// biasing and sizing — the zero location, every branch current, the
-/// headroom check and the power budget now all move together, which is the
-/// cross-coupling a high-dimensional strategy has to untangle.
-///
-/// Each evaluation instantiates a [`TwoStageOpAmp`] with the three bias
-/// parameters applied and measures the 10-D sizing vector on it; at the
-/// default settings of `TwoStageOpAmp::new()` the expanded bench reproduces
-/// the fixed bench exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BiasedTwoStageOpAmp {
-    /// The base amplifier configuration (supply, load, device models); its
-    /// `comp_resistor`, `bias_mirror_ratio` and `output_stage_multiplier` are
-    /// overridden per evaluation by the extra design variables.
-    pub base: TwoStageOpAmp,
-}
-
-impl Default for BiasedTwoStageOpAmp {
-    fn default() -> Self {
-        BiasedTwoStageOpAmp {
-            base: TwoStageOpAmp::new(),
-        }
-    }
-}
-
-impl BiasedTwoStageOpAmp {
-    /// Creates the testbench with the default 180 nm-like setup.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lower/upper bounds of the 13 design variables: the 10 sizing bounds of
-    /// [`TwoStageOpAmp::bounds`] followed by the bias network's
-    /// `[R_z, bias_mirror_ratio, output_stage_multiplier]`.
-    ///
-    /// The bias ranges bracket the fixed bench's constants (1 kΩ, 10, 3), so
-    /// the expanded search space strictly contains the Table-I problem.
-    pub fn bounds(&self) -> [(f64, f64); BIASED_OPAMP_DIM] {
-        let sizing = self.base.bounds();
-        let mut out = [(0.0, 0.0); BIASED_OPAMP_DIM];
-        out[..OPAMP_DIM].copy_from_slice(&sizing);
-        out[OPAMP_DIM] = (200.0, 20e3); // R_z: zero-nulling resistor
-        out[OPAMP_DIM + 1] = (2.0, 40.0); // bias-mirror diode aspect ratio
-        out[OPAMP_DIM + 2] = (1.0, 8.0); // output-stage current multiplier
-        out
-    }
-
-    /// Maps a point of the unit hypercube to the physical design space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != 13`.
-    pub fn denormalize(&self, x: &[f64]) -> [f64; BIASED_OPAMP_DIM] {
-        assert_eq!(
-            x.len(),
-            BIASED_OPAMP_DIM,
-            "expected {BIASED_OPAMP_DIM} design variables"
-        );
-        let bounds = self.bounds();
-        let mut out = [0.0; BIASED_OPAMP_DIM];
-        for (i, (lo, hi)) in bounds.iter().enumerate() {
-            let t = x[i].clamp(0.0, 1.0);
-            out[i] = lo + t * (hi - lo);
-        }
-        out
-    }
-
-    /// The fixed bench with this design point's bias network applied.
-    fn bench_for(&self, phys: &[f64]) -> TwoStageOpAmp {
-        let mut bench = self.base.clone();
-        bench.comp_resistor = phys[OPAMP_DIM];
-        bench.bias_mirror_ratio = phys[OPAMP_DIM + 1];
-        bench.output_stage_multiplier = phys[OPAMP_DIM + 2];
-        bench
-    }
-
-    /// Evaluates a design given in physical units (best-effort projection,
-    /// like [`TwoStageOpAmp::evaluate`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != 13` or any variable is not strictly positive.
-    pub fn evaluate(&self, x: &[f64]) -> OpAmpPerformance {
-        self.bench_for(x).evaluate(&x[..OPAMP_DIM])
-    }
-
-    /// Fallible evaluation in physical units — see
-    /// [`TwoStageOpAmp::try_evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TwoStageOpAmp::try_evaluate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != 13` or any variable is not strictly positive.
-    pub fn try_evaluate(&self, x: &[f64]) -> Result<OpAmpPerformance, String> {
-        self.bench_for(x).try_evaluate(&x[..OPAMP_DIM])
-    }
-
-    /// Evaluates a design given in normalised `[0, 1]` coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != 13`.
-    pub fn evaluate_normalized(&self, x: &[f64]) -> OpAmpPerformance {
-        self.evaluate(&self.denormalize(x))
-    }
-
-    /// Fallible evaluation in normalised coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TwoStageOpAmp::try_evaluate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != 13`.
-    pub fn try_evaluate_normalized(&self, x: &[f64]) -> Result<OpAmpPerformance, String> {
-        self.try_evaluate(&self.denormalize(x))
-    }
-}
-
-impl Testbench for BiasedTwoStageOpAmp {
-    type Output = OpAmpPerformance;
-
-    fn name(&self) -> &str {
-        "biased-two-stage-opamp"
-    }
-
-    fn bounds(&self) -> Vec<(f64, f64)> {
-        BiasedTwoStageOpAmp::bounds(self).to_vec()
-    }
-
-    fn denormalize(&self, x: &[f64]) -> Vec<f64> {
-        BiasedTwoStageOpAmp::denormalize(self, x).to_vec()
-    }
-
-    fn measure(&self, x: &[f64], ctx: &CornerContext) -> Result<OpAmpPerformance, String> {
-        BiasedTwoStageOpAmp {
-            base: self.base.at_corner(&ctx.corner),
-        }
-        .try_evaluate(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,68 +524,6 @@ mod tests {
         assert!(p.ugf_hz > 40e6, "UGF {} too low", p.ugf_hz);
         assert!(p.pm_deg > 60.0, "PM {} too low", p.pm_deg);
         assert!(p.gain_db > 70.0, "gain {} too low", p.gain_db);
-    }
-
-    #[test]
-    fn biased_bench_at_default_bias_point_matches_the_fixed_bench() {
-        let fixed = TwoStageOpAmp::new();
-        let expanded = BiasedTwoStageOpAmp::new();
-        let sizing = decent_design();
-        let mut x = [0.0; BIASED_OPAMP_DIM];
-        x[..OPAMP_DIM].copy_from_slice(&sizing);
-        // The fixed bench's constants: R_z = 1 kΩ, mirror ratio 10, multiplier 3.
-        x[OPAMP_DIM] = 1.0e3;
-        x[OPAMP_DIM + 1] = 10.0;
-        x[OPAMP_DIM + 2] = 3.0;
-        assert_eq!(expanded.evaluate(&x), fixed.evaluate(&sizing));
-    }
-
-    #[test]
-    fn bias_variables_actually_move_the_performance() {
-        let bench = BiasedTwoStageOpAmp::new();
-        let sizing = decent_design();
-        let mut base = [0.0; BIASED_OPAMP_DIM];
-        base[..OPAMP_DIM].copy_from_slice(&sizing);
-        base[OPAMP_DIM] = 1.0e3;
-        base[OPAMP_DIM + 1] = 10.0;
-        base[OPAMP_DIM + 2] = 3.0;
-        let nominal = bench.evaluate(&base);
-
-        // A larger mirror ratio shrinks the tail current → lower power.
-        let mut starved = base;
-        starved[OPAMP_DIM + 1] = 30.0;
-        let p = bench.evaluate(&starved);
-        assert!(p.power_w < nominal.power_w);
-
-        // A larger output multiplier burns more power.
-        let mut hungry = base;
-        hungry[OPAMP_DIM + 2] = 6.0;
-        let p = bench.evaluate(&hungry);
-        assert!(p.power_w > nominal.power_w);
-
-        // Moving the zero-nulling resistor shifts the phase margin.
-        let mut moved = base;
-        moved[OPAMP_DIM] = 15e3;
-        let p = bench.evaluate(&moved);
-        assert_ne!(p.pm_deg, nominal.pm_deg);
-    }
-
-    #[test]
-    fn biased_bench_bounds_bracket_the_fixed_constants_and_clamp() {
-        let bench = BiasedTwoStageOpAmp::new();
-        let bounds = bench.bounds();
-        assert_eq!(bounds.len(), 13);
-        for (lo, hi) in bounds {
-            assert!(lo > 0.0 && hi > lo);
-        }
-        assert!(bounds[OPAMP_DIM].0 <= 1.0e3 && 1.0e3 <= bounds[OPAMP_DIM].1);
-        assert!(bounds[OPAMP_DIM + 1].0 <= 10.0 && 10.0 <= bounds[OPAMP_DIM + 1].1);
-        assert!(bounds[OPAMP_DIM + 2].0 <= 3.0 && 3.0 <= bounds[OPAMP_DIM + 2].1);
-        for x in [[0.0; BIASED_OPAMP_DIM], [1.0; BIASED_OPAMP_DIM]] {
-            let p = bench.evaluate_normalized(&x);
-            assert!(p.gain_db.is_finite());
-            assert!(p.power_w.is_finite());
-        }
     }
 
     #[test]

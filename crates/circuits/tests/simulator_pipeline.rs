@@ -1,112 +1,8 @@
-//! Integration tests: full nonlinear-circuit → DC operating point → linearised AC
-//! pipeline, plus property tests of the sizing testbenches.
+//! Integration tests: property tests of the sizing testbenches over their whole
+//! normalised design spaces.
 
-use nnbo_circuits::{
-    AcAnalysis, AcSweep, ChargePump, Circuit, DcAnalysis, Element, MosTransistor, MosfetModel,
-    SmallSignalCircuit, TwoStageOpAmp, CHARGE_PUMP_DIM, GROUND, OPAMP_DIM,
-};
+use nnbo_circuits::{ChargePump, TwoStageOpAmp, CHARGE_PUMP_DIM, OPAMP_DIM};
 use proptest::prelude::*;
-
-/// Builds a resistively-loaded NMOS common-source amplifier driven from a DC gate
-/// bias, and returns (circuit, input node, output node).
-fn common_source_amp(rl: f64, vbias: f64) -> (Circuit, usize, usize) {
-    let mut ckt = Circuit::new();
-    let vdd = ckt.add_node();
-    let gate = ckt.add_node();
-    let out = ckt.add_node();
-    ckt.add(Element::VoltageSource {
-        plus: vdd,
-        minus: GROUND,
-        volts: 1.8,
-    });
-    ckt.add(Element::VoltageSource {
-        plus: gate,
-        minus: GROUND,
-        volts: vbias,
-    });
-    ckt.add(Element::Resistor {
-        a: vdd,
-        b: out,
-        ohms: rl,
-    });
-    ckt.add(Element::Capacitor {
-        a: out,
-        b: GROUND,
-        farads: 1e-12,
-    });
-    ckt.add(Element::Mosfet {
-        drain: out,
-        gate,
-        source: GROUND,
-        transistor: MosTransistor::new(MosfetModel::nmos_180nm(), 20e-6, 1e-6),
-    });
-    (ckt, gate, out)
-}
-
-#[test]
-fn common_source_gain_matches_gm_times_load() {
-    let rl = 20e3;
-    let (ckt, gate, out) = common_source_amp(rl, 0.55);
-    let dc = DcAnalysis::new().solve(&ckt).expect("DC converges");
-    // The MOSFET is the only one in the netlist.
-    let gm = dc.mosfet_params[0].gm;
-    let gds = dc.mosfet_params[0].gds;
-    assert!(gm > 0.0);
-
-    let ss = SmallSignalCircuit::linearize(&ckt, &dc, gate, out);
-    let analysis = AcAnalysis::new(AcSweep {
-        start_hz: 10.0,
-        stop_hz: 1e9,
-        points_per_decade: 20,
-    });
-    let metrics = analysis.bode_metrics(&ss).expect("AC sweep succeeds");
-    let expected_gain = gm * (1.0 / (1.0 / rl + gds));
-    let expected_db = 20.0 * expected_gain.log10();
-    assert!(
-        (metrics.dc_gain_db - expected_db).abs() < 0.5,
-        "AC gain {} dB vs analytic {} dB",
-        metrics.dc_gain_db,
-        expected_db
-    );
-}
-
-#[test]
-fn common_source_bandwidth_scales_with_load_capacitance() {
-    let (ckt, gate, out) = common_source_amp(20e3, 0.55);
-    let dc = DcAnalysis::new().solve(&ckt).expect("DC converges");
-    let ss = SmallSignalCircuit::linearize(&ckt, &dc, gate, out);
-    let sweep = AcSweep {
-        start_hz: 100.0,
-        stop_hz: 10e9,
-        points_per_decade: 30,
-    };
-    let m1 = AcAnalysis::new(sweep).bode_metrics(&ss).unwrap();
-
-    // Add 9 pF of extra load: the dominant pole and hence the UGF must fall ~10x.
-    let mut ckt2 = ckt.clone();
-    ckt2.add(Element::Capacitor {
-        a: out,
-        b: GROUND,
-        farads: 9e-12,
-    });
-    let dc2 = DcAnalysis::new().solve(&ckt2).expect("DC converges");
-    let ss2 = SmallSignalCircuit::linearize(&ckt2, &dc2, gate, out);
-    let m2 = AcAnalysis::new(sweep).bode_metrics(&ss2).unwrap();
-
-    assert!(m1.crossed_unity && m2.crossed_unity);
-    let ratio = m1.unity_gain_freq_hz / m2.unity_gain_freq_hz;
-    assert!(ratio > 5.0 && ratio < 20.0, "UGF ratio {ratio}");
-}
-
-#[test]
-fn dc_solution_is_independent_of_initial_gmin_path() {
-    // Solving the same circuit twice gives bit-identical results (determinism).
-    let (ckt, _, out) = common_source_amp(15e3, 0.58);
-    let s1 = DcAnalysis::new().solve(&ckt).unwrap();
-    let s2 = DcAnalysis::new().solve(&ckt).unwrap();
-    assert_eq!(s1.voltages, s2.voltages);
-    assert!(s1.voltage(out) > 0.05 && s1.voltage(out) < 1.75);
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

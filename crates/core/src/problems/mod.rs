@@ -15,7 +15,7 @@ mod circuit;
 mod sweep;
 mod synthetic;
 
-pub use circuit::{BiasedOpAmpProblem, ChargePumpProblem, OpAmpProblem};
+pub use circuit::{ChargePumpProblem, OpAmpProblem};
 pub use sweep::{SweepAggregation, SweepProblem};
 pub use synthetic::{
     Ackley, ConstrainedBranin, GardnerSine, Hartmann6, Levy, Rosenbrock, WeightedSphere,

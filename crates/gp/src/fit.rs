@@ -24,7 +24,7 @@
 //! path's NLL regresses past the standard initial point.
 
 use nnbo_linalg::{Cholesky, Matrix};
-use nnbo_nn::{Adam, Optimizer};
+use nnbo_nn::Adam;
 use rand::Rng;
 
 use crate::{GpConfig, GpError, GpHyperParams};

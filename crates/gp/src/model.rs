@@ -1,7 +1,7 @@
 //! The Gaussian-process regression model (explicit kernel, eq. 3/4 of the paper).
 
 use nnbo_linalg::{Cholesky, Matrix, Standardizer};
-use nnbo_nn::{Adam, Optimizer};
+use nnbo_nn::Adam;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

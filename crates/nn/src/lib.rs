@@ -11,9 +11,8 @@
 //! * [`TrainWorkspace`] — the reusable buffers of a training forward/backward
 //!   pass (see below);
 //! * [`Activation`] — ReLU / Tanh / Identity activations;
-//! * [`Adam`] and [`Sgd`] — first-order optimizers operating on flat parameter
-//!   vectors so that network weights and GP hyper-parameters can be optimized
-//!   jointly;
+//! * [`Adam`] — the first-order optimizer, operating on flat parameter vectors
+//!   so that network weights and GP hyper-parameters can be optimized jointly;
 //! * gradient checking helpers used by the test-suite.
 //!
 //! # Training workspace
@@ -74,4 +73,4 @@ pub use activation::Activation;
 pub use gradcheck::finite_difference_gradient;
 pub use layer::DenseLayer;
 pub use mlp::{Mlp, MlpConfig, TrainWorkspace};
-pub use optimizer::{squared_norm, Adam, AdamConfig, GradientDescentConfig, Optimizer, Sgd};
+pub use optimizer::{squared_norm, Adam, AdamConfig};

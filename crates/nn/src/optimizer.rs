@@ -1,4 +1,4 @@
-//! First-order optimizers on flat parameter vectors.
+//! The Adam optimizer on flat parameter vectors.
 //!
 //! The neural GP of the paper trains the network weights *and* the GP
 //! hyper-parameters `σn`, `σp` jointly by minimising the negative log marginal
@@ -6,17 +6,6 @@
 //! lets a single optimizer state drive all of them.
 
 use serde::{Deserialize, Serialize};
-
-/// A first-order optimizer that updates a flat parameter vector in place given the
-/// gradient of a scalar loss.
-pub trait Optimizer {
-    /// Performs one update step.  `params` and `grad` must have the same length on
-    /// every call, and that length must not change across calls.
-    fn step(&mut self, params: &mut [f64], grad: &[f64]);
-
-    /// Resets any internal state (moment estimates, step counters).
-    fn reset(&mut self);
-}
 
 /// Configuration for the [`Adam`] optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,7 +40,7 @@ impl Default for AdamConfig {
 /// # Example
 ///
 /// ```
-/// use nnbo_nn::{Adam, AdamConfig, Optimizer};
+/// use nnbo_nn::{Adam, AdamConfig};
 ///
 /// // Minimise f(x) = (x - 3)².
 /// let mut adam = Adam::new(AdamConfig { learning_rate: 0.1, ..AdamConfig::default() });
@@ -68,6 +57,12 @@ pub struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,
     t: u64,
+}
+
+impl Default for Adam {
+    fn default() -> Self {
+        Adam::new(AdamConfig::default())
+    }
 }
 
 impl Adam {
@@ -94,16 +89,19 @@ impl Adam {
     pub fn config(&self) -> &AdamConfig {
         &self.config
     }
-}
 
-impl Default for Adam {
-    fn default() -> Self {
-        Adam::new(AdamConfig::default())
+    /// Performs one update step on `params` given the gradient `grad` of the
+    /// loss.  A length change from the previous call restarts the moment
+    /// estimates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != grad.len()`.
+    pub fn step(&mut self, params: &mut [f64], grad: &[f64]) {
+        self.step_with_squared_norm(params, grad, squared_norm(grad));
     }
-}
 
-impl Adam {
-    /// [`Optimizer::step`] with the gradient's sum of squares `Σ g²`
+    /// [`Adam::step`] with the gradient's sum of squares `Σ g²`
     /// ([`squared_norm`]) already computed by the caller — a training loop
     /// that also reads the gradient norm (for an early stop) computes it once
     /// and shares it.  Gives the bits of `step` when `sum_sq` is
@@ -163,18 +161,6 @@ impl Adam {
             learning_rate,
             epsilon,
         }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        self.step_with_squared_norm(params, grad, squared_norm(grad));
-    }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
     }
 }
 
@@ -251,80 +237,6 @@ unsafe fn adam_update_avx2(
     adam_update_body(c, params, grad, m, v);
 }
 
-/// Configuration for plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GradientDescentConfig {
-    /// Learning rate (default `1e-3`).
-    pub learning_rate: f64,
-    /// Classical momentum coefficient (default `0.0`, i.e. no momentum).
-    pub momentum: f64,
-}
-
-impl Default for GradientDescentConfig {
-    fn default() -> Self {
-        GradientDescentConfig {
-            learning_rate: 1e-3,
-            momentum: 0.0,
-        }
-    }
-}
-
-/// Gradient descent with optional momentum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    config: GradientDescentConfig,
-    velocity: Vec<f64>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given configuration.
-    pub fn new(config: GradientDescentConfig) -> Self {
-        Sgd {
-            config,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates an SGD optimizer with the given learning rate and no momentum.
-    pub fn with_learning_rate(learning_rate: f64) -> Self {
-        Sgd::new(GradientDescentConfig {
-            learning_rate,
-            momentum: 0.0,
-        })
-    }
-}
-
-impl Default for Sgd {
-    fn default() -> Self {
-        Sgd::new(GradientDescentConfig::default())
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(
-            params.len(),
-            grad.len(),
-            "parameter/gradient length mismatch"
-        );
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for i in 0..params.len() {
-            if !grad[i].is_finite() {
-                continue;
-            }
-            self.velocity[i] =
-                self.config.momentum * self.velocity[i] - self.config.learning_rate * grad[i];
-            params[i] += self.velocity[i];
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,20 +274,6 @@ mod tests {
         }
         let (f1, _) = rosenbrock(&p);
         assert!(f1 < f0 * 1e-3, "insufficient progress: {f0} -> {f1}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_minimises_quadratic() {
-        let mut sgd = Sgd::new(GradientDescentConfig {
-            learning_rate: 0.05,
-            momentum: 0.5,
-        });
-        let mut p = vec![3.0];
-        for _ in 0..500 {
-            let grad = vec![2.0 * p[0]];
-            sgd.step(&mut p, &grad);
-        }
-        assert!(p[0].abs() < 1e-4);
     }
 
     #[test]
@@ -525,20 +423,5 @@ mod tests {
             adam.step(&mut params, g);
         }
         assert_eq!(bits(&params), bits(&expected), "dispatched step");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut adam = Adam::with_learning_rate(0.1);
-        let mut p = vec![1.0];
-        adam.step(&mut p, &[1.0]);
-        adam.reset();
-        let mut q = vec![1.0];
-        adam.step(&mut q, &[1.0]);
-        // After a reset the first step from the same state must be identical.
-        let mut adam2 = Adam::with_learning_rate(0.1);
-        let mut r = vec![1.0];
-        adam2.step(&mut r, &[1.0]);
-        assert_eq!(q, r);
     }
 }

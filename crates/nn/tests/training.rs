@@ -1,7 +1,7 @@
 //! Integration tests: train small MLPs end-to-end on regression tasks.
 
 use nnbo_linalg::Matrix;
-use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, Optimizer, TrainWorkspace};
+use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, TrainWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
