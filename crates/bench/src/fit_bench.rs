@@ -39,13 +39,12 @@
 //!   `RefitPolicy::NllDrift` (optimized), recording each strategy's final
 //!   NLL and its count of full refits alongside the wall-clock contrast.
 
-use std::time::Instant;
-
 use nnbo_core::{EnsembleConfig, NeuralGp, NeuralGpConfig, NeuralGpEnsemble, RefitPolicy};
 use nnbo_gp::{GpConfig, GpHyperParams, GpModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::linalg_bench::time_best;
 use crate::BenchError;
 
 /// One measured comparison of the fit path, with the NLL both strategies
@@ -105,19 +104,6 @@ pub fn fit_dataset(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<Vec<f
             .collect(),
     ];
     (xs, targets)
-}
-
-/// Times `f`, returning `(best_ns, last_result)` over `reps` repetitions.
-fn time_best<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
-    let start = Instant::now();
-    let mut out = f();
-    let mut best = start.elapsed().as_nanos() as f64;
-    for _ in 1..reps.max(1) {
-        let start = Instant::now();
-        out = f();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    (best, out)
 }
 
 /// Runs the fit-path comparison suite.  `quick` shrinks the training-set size
@@ -537,7 +523,7 @@ pub fn run_refit_lifecycle(
 }
 
 /// Serialises the entries as the `BENCH_fit.json` document (JSON written by
-/// hand — the workspace's serde is an offline no-op stand-in).
+/// hand to keep the committed `BENCH_*.json` layout of one row per line).
 pub fn format_fit_json(entries: &[FitBenchEntry], quick: bool) -> String {
     let rows: Vec<String> = entries
         .iter()

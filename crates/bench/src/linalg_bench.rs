@@ -50,33 +50,20 @@ impl LinalgBenchEntry {
 }
 
 /// Times `f`, returning the best (minimum) wall-clock nanoseconds over `reps`
-/// repetitions.  The minimum is the standard choice for micro-benchmarks: it
-/// is the least noisy estimator of the true cost of the work itself.
-/// Shared with the prediction-path benchmark (`predict_bench`).
-pub(crate) fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+/// repetitions and the last repetition's result (every result passes
+/// through `black_box`, so no repetition is optimised away).  The minimum is
+/// the least noisy estimator of the true cost of the work itself.  A
+/// fallible workload returns its `Result` for the caller to propagate.
+pub(crate) fn time_best<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
+    let start = Instant::now();
+    let mut out = std::hint::black_box(f());
+    let mut best = start.elapsed().as_nanos() as f64;
+    for _ in 1..reps.max(1) {
         let start = Instant::now();
-        f();
+        out = std::hint::black_box(f());
         best = best.min(start.elapsed().as_nanos() as f64);
     }
-    best
-}
-
-/// [`time_best`] for fallible workloads: the first error aborts the
-/// measurement and propagates to the `reproduce` binary instead of
-/// panicking mid-benchmark.
-fn try_time_best<F: FnMut() -> Result<(), BenchError>>(
-    reps: usize,
-    mut f: F,
-) -> Result<f64, BenchError> {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f()?;
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    Ok(best)
+    (best, out)
 }
 
 fn random_matrix(n: usize, m: usize, rng: &mut StdRng) -> Matrix {
@@ -91,7 +78,9 @@ fn random_spd(n: usize, rng: &mut StdRng) -> Matrix {
     a
 }
 
-fn dataset(n: usize, dim: usize, rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<f64>) {
+/// A seeded `n × dim` training set on the unit cube with a smooth
+/// separable target (shared with `predict_bench`).
+pub(crate) fn dataset(n: usize, dim: usize, rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<f64>) {
     let xs: Vec<Vec<f64>> = (0..n)
         .map(|_| (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect())
         .collect();
@@ -121,35 +110,25 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
         entries.push(LinalgBenchEntry {
             name: "matmul",
             n,
-            baseline_ns: time_best(reps(n), || {
-                std::hint::black_box(a.matmul_naive(&b));
-            }),
-            optimized_ns: time_best(reps(n), || {
-                std::hint::black_box(a.matmul(&b));
-            }),
+            baseline_ns: time_best(reps(n), || a.matmul_naive(&b)).0,
+            optimized_ns: time_best(reps(n), || a.matmul(&b)).0,
         });
         entries.push(LinalgBenchEntry {
             name: "matmul_transpose",
             n,
-            baseline_ns: time_best(reps(n), || {
-                std::hint::black_box(a.matmul_transpose_naive(&b));
-            }),
-            optimized_ns: time_best(reps(n), || {
-                std::hint::black_box(a.matmul_transpose(&b));
-            }),
+            baseline_ns: time_best(reps(n), || a.matmul_transpose_naive(&b)).0,
+            optimized_ns: time_best(reps(n), || a.matmul_transpose(&b)).0,
         });
         let spd = random_spd(n, &mut rng);
+        let (reference_ns, reference) = time_best(reps(n), || Cholesky::decompose_reference(&spd));
+        reference?;
+        let (blocked_ns, blocked) = time_best(reps(n), || Cholesky::decompose(&spd));
+        blocked?;
         entries.push(LinalgBenchEntry {
             name: "cholesky",
             n,
-            baseline_ns: try_time_best(reps(n), || {
-                std::hint::black_box(Cholesky::decompose_reference(&spd)?);
-                Ok(())
-            })?,
-            optimized_ns: try_time_best(reps(n), || {
-                std::hint::black_box(Cholesky::decompose(&spd)?);
-                Ok(())
-            })?,
+            baseline_ns: reference_ns,
+            optimized_ns: blocked_ns,
         });
     }
 
@@ -160,12 +139,8 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
         let a = random_matrix(n, n, &mut rng);
         let b = random_matrix(n, n, &mut rng);
         nnbo_linalg::force_portable_kernels(true);
-        let portable_matmul = time_best(reps(n), || {
-            std::hint::black_box(a.matmul(&b));
-        });
-        let portable_syrk = time_best(reps(n), || {
-            std::hint::black_box(a.transpose_matmul_self());
-        });
+        let portable_matmul = time_best(reps(n), || a.matmul(&b)).0;
+        let portable_syrk = time_best(reps(n), || a.transpose_matmul_self()).0;
         let spd = random_spd(n, &mut rng);
         let chol = Cholesky::decompose(&spd)?;
         let mut inv = nnbo_linalg::Matrix::zeros(n, n);
@@ -173,22 +148,21 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
         let portable_syminv = time_best(reps(n), || {
             chol.symmetric_inverse_into(&mut inv, &mut work);
             std::hint::black_box(&inv);
-        });
+        })
+        .0;
         nnbo_linalg::force_portable_kernels(false);
-        let auto_matmul = time_best(reps(n), || {
-            std::hint::black_box(a.matmul(&b));
-        });
-        let auto_syrk = time_best(reps(n), || {
-            std::hint::black_box(a.transpose_matmul_self());
-        });
+        let auto_matmul = time_best(reps(n), || a.matmul(&b)).0;
+        let auto_syrk = time_best(reps(n), || a.transpose_matmul_self()).0;
         let dense_inverse = time_best(reps(n), || {
             chol.inverse_into(&mut inv);
             std::hint::black_box(&inv);
-        });
+        })
+        .0;
         let auto_syminv = time_best(reps(n), || {
             chol.symmetric_inverse_into(&mut inv, &mut work);
             std::hint::black_box(&inv);
-        });
+        })
+        .0;
         entries.push(LinalgBenchEntry {
             name: "matmul_kernel",
             n,
@@ -240,13 +214,12 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
         append_best = append_best.min(start.elapsed().as_nanos() as f64);
         std::hint::black_box(c);
     }
+    let (refactor_ns, refactor) = time_best(append_reps, || Cholesky::decompose(&spd));
+    refactor?;
     entries.push(LinalgBenchEntry {
         name: "cholesky_append",
         n: append_n,
-        baseline_ns: try_time_best(append_reps, || {
-            std::hint::black_box(Cholesky::decompose(&spd)?);
-            Ok(())
-        })?,
+        baseline_ns: refactor_ns,
         optimized_ns: append_best,
     });
 
@@ -272,10 +245,9 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
             for q in &queries {
                 std::hint::black_box(gp.predict(q));
             }
-        }),
-        optimized_ns: time_best(if quick { 3 } else { 5 }, || {
-            std::hint::black_box(gp.predict_batch(&queries));
-        }),
+        })
+        .0,
+        optimized_ns: time_best(if quick { 3 } else { 5 }, || gp.predict_batch(&queries)).0,
     });
 
     // Batched candidate scoring vs per-point prediction, neural GP.
@@ -292,17 +264,16 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
             for q in &queries {
                 std::hint::black_box(neural.predict(q));
             }
-        }),
-        optimized_ns: time_best(if quick { 3 } else { 5 }, || {
-            std::hint::black_box(neural.predict_batch(&queries));
-        }),
+        })
+        .0,
+        optimized_ns: time_best(if quick { 3 } else { 5 }, || neural.predict_batch(&queries)).0,
     });
 
     Ok(entries)
 }
 
 /// Serialises the entries as the `BENCH_linalg.json` document (JSON written by
-/// hand — the workspace's serde is an offline no-op stand-in).
+/// hand to keep the committed `BENCH_*.json` layout of one row per line).
 pub fn format_linalg_json(entries: &[LinalgBenchEntry], quick: bool) -> String {
     let rows: Vec<String> = entries
         .iter()

@@ -26,24 +26,8 @@ use nnbo_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::linalg_bench::{time_best, LinalgBenchEntry};
+use crate::linalg_bench::{dataset, time_best, LinalgBenchEntry};
 use crate::BenchError;
-
-fn dataset(n: usize, dim: usize, rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let xs: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect())
-        .collect();
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| {
-            x.iter()
-                .enumerate()
-                .map(|(i, v)| ((i + 1) as f64 * v).sin())
-                .sum()
-        })
-        .collect();
-    (xs, ys)
-}
 
 /// Runs the prediction-path comparison suite.  `quick` shrinks sizes and
 /// repetition counts so CI can smoke-test the harness in seconds.
@@ -73,12 +57,14 @@ pub fn run_predict_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchErro
     let portable_cross = time_best(reps, || {
         kernel.cross_with_into(&q_mat, &prepared, &mut cross_out, &mut cross_scratch);
         std::hint::black_box(&cross_out);
-    });
+    })
+    .0;
     nnbo_linalg::force_portable_kernels(false);
     let packed_cross = time_best(reps, || {
         kernel.cross_with_into(&q_mat, &prepared, &mut cross_out, &mut cross_scratch);
         std::hint::black_box(&cross_out);
-    });
+    })
+    .0;
     entries.push(LinalgBenchEntry {
         name: "gp_cross_kernel",
         n: train_n,
@@ -94,13 +80,9 @@ pub fn run_predict_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchErro
     };
     let gp = GpModel::fit(&xs, &ys, &gp_config, &mut StdRng::seed_from_u64(3))?;
     nnbo_linalg::force_portable_kernels(true);
-    let portable_gp = time_best(reps, || {
-        std::hint::black_box(gp.predict_batch(&queries));
-    });
+    let portable_gp = time_best(reps, || gp.predict_batch(&queries)).0;
     nnbo_linalg::force_portable_kernels(false);
-    let packed_gp = time_best(reps, || {
-        std::hint::black_box(gp.predict_batch(&queries));
-    });
+    let packed_gp = time_best(reps, || gp.predict_batch(&queries)).0;
     entries.push(LinalgBenchEntry {
         name: "gp_predict_batch",
         n: train_n,
@@ -115,7 +97,8 @@ pub fn run_predict_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchErro
     let into_ns = time_best(reps, || {
         gp.predict_batch_into(&queries, &mut out, &mut scratch);
         std::hint::black_box(&out);
-    });
+    })
+    .0;
     entries.push(LinalgBenchEntry {
         name: "gp_predict_batch_into",
         n: train_n,
@@ -130,13 +113,9 @@ pub fn run_predict_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchErro
     };
     let neural = NeuralGp::fit(&xs, &ys, &nn_config, &mut StdRng::seed_from_u64(4))?;
     nnbo_linalg::force_portable_kernels(true);
-    let portable_ngp = time_best(reps, || {
-        std::hint::black_box(neural.predict_batch(&queries));
-    });
+    let portable_ngp = time_best(reps, || neural.predict_batch(&queries)).0;
     nnbo_linalg::force_portable_kernels(false);
-    let packed_ngp = time_best(reps, || {
-        std::hint::black_box(neural.predict_batch(&queries));
-    });
+    let packed_ngp = time_best(reps, || neural.predict_batch(&queries)).0;
     entries.push(LinalgBenchEntry {
         name: "neural_predict_batch",
         n: train_n,

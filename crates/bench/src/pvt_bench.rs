@@ -113,12 +113,8 @@ where
         .into());
     }
 
-    let sequential_ns = time_best(reps, || {
-        std::hint::black_box(run(&sequential));
-    });
-    let parallel_ns = time_best(reps, || {
-        std::hint::black_box(run(&parallel));
-    });
+    let sequential_ns = time_best(reps, || run(&sequential)).0;
+    let parallel_ns = time_best(reps, || run(&parallel)).0;
 
     Ok(PvtBenchEntry {
         name,

@@ -16,13 +16,16 @@
 //! * **snapshot** — checkpoint → JSON → restore mid-run, timing the round
 //!   trip and verifying the resumed continuation is bit-identical.
 //! * **store_faults** — the injectable-I/O store.  Clean-path persist
-//!   latency through the trait-dispatched `StdIo` backend vs the same
-//!   write→fsync→rename→fsync-dir sequence issued with direct `std::fs`
-//!   calls (the pre-indirection store; the overhead budget is the same
-//!   < 2 %), persist latency through a four-way `ShardedStore`, and a
-//!   canned disk-fault scenario (torn write mid-persist, then bit-rot on
+//!   latency through a one-shard `ShardedStore` on the `StdIo` backend vs
+//!   the raw syscall sequence it issues (write→fsync→rename→fsync-dir with
+//!   direct `std::fs` calls; the overhead budget is the same < 2 %), persist
+//!   latency through a four-shard `ShardedStore`, and a canned disk-fault
+//!   scenario on one-shard stores (torn write mid-persist, then bit-rot on
 //!   the latest generation) proving scrub removes the debris, promotes the
 //!   backup, and hands recovery the acknowledged payload.
+//!   A `BENCH_robustness.json` whose store row measured a bare directory
+//!   (`StdIo` dispatch only, before the stores merged) is not comparable:
+//!   the same keys now include routing, the retry wrapper and health lock.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,7 +37,7 @@ use nnbo_core::{
 };
 use nnbo_serve::io::ScriptedFault;
 use nnbo_serve::{
-    fnv1a64, FaultIo, FaultKind, FaultPlan, SessionStore, ShardConfig, ShardedStore, SnapshotStore,
+    fnv1a64, FaultIo, FaultKind, FaultPlan, RetryPolicy, ShardConfig, ShardedStore, SnapshotStore,
 };
 
 use crate::json;
@@ -63,15 +66,15 @@ pub struct RobustnessReport {
     /// Whether the resumed continuation reproduced the uninterrupted run
     /// bit for bit.
     pub snapshot_bit_identical: bool,
-    /// Median per-persist latency through the trait-dispatched `StdIo`
-    /// store (microseconds).
+    /// Median per-persist latency through a one-shard `ShardedStore` on
+    /// the `StdIo` backend (microseconds).
     pub store_persist_us: f64,
     /// Median per-persist latency of the identical syscall sequence issued
-    /// with direct `std::fs` calls — the pre-indirection baseline
-    /// (microseconds).
+    /// with direct `std::fs` calls — the raw baseline (microseconds).
     pub store_raw_persist_us: f64,
-    /// Clean-path overhead of the `StoreIo` indirection as a percent of
-    /// the raw persist (budget: < 2 %).
+    /// Clean-path overhead of the one-shard store vs the raw syscall
+    /// sequence (routing, the retry wrapper and `StoreIo` dispatch), as a
+    /// percent of the raw persist (budget: < 2 %).
     pub store_dispatch_overhead_pct: f64,
     /// Median per-persist latency through a four-shard `ShardedStore`
     /// (rendezvous routing + retry wrapper included), microseconds.
@@ -80,8 +83,8 @@ pub struct RobustnessReport {
     pub store_tmp_removed: usize,
     /// Backup generations scrub promoted over bit-rotted latest files.
     pub store_backups_promoted: usize,
-    /// Whether both fault scenarios handed recovery the exact acknowledged
-    /// payload after restart + scrub.
+    /// Whether both scrubs walked their shard and both fault scenarios
+    /// handed recovery the exact acknowledged payload after restart + scrub.
     pub store_fault_recovered: bool,
 }
 
@@ -170,9 +173,9 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The exact syscall sequence `SessionStore::persist` issues, with direct
-/// `std::fs` calls instead of the `StoreIo` trait object — the
-/// pre-indirection store, kept here as the overhead baseline.
+/// The exact syscall sequence a store persist issues in its shard
+/// directory, with direct `std::fs` calls instead of the `StoreIo` trait
+/// object — the raw baseline of the overhead measurement.
 fn raw_persist(dir: &Path, id: &str, snapshot_json: &str) -> std::io::Result<()> {
     let payload = snapshot_json.as_bytes();
     let frame = format!(
@@ -217,14 +220,14 @@ fn store_faults_section(quick: bool) -> Result<StoreSection, BenchError> {
     let pairs = if quick { 192 } else { 768 };
     let ids = ["s0", "s1", "s2", "s3"];
 
-    // Clean path: trait-dispatched StdIo vs the direct-fs baseline.
+    // Clean path: a one-shard store on StdIo vs the direct-fs baseline.
     // fsync latency on this box drifts by >10% over seconds and has
     // heavy tails, so the overhead comes from tightly paired samples:
     // each pair times one StdIo persist against one raw persist
     // back-to-back (alternating which goes first, killing order bias),
     // and the estimate is the median pair ratio — drift hits both sides
     // of a pair, and the median rejects the fsync-stall outliers.
-    let stdio = SessionStore::open(scratch.join("stdio"))?;
+    let stdio = ShardedStore::open(scratch.join("stdio"), ShardConfig::new(1))?;
     let raw_dir = scratch.join("raw");
     std::fs::create_dir_all(&raw_dir)?;
     let mut stdio_one = |i: usize| {
@@ -273,14 +276,17 @@ fn store_faults_section(quick: bool) -> Result<StoreSection, BenchError> {
     // Fault scenario 1: a torn write tears persist #2 mid-file and crashes
     // the process.  Ops per persist: write, sync_file, [rename], rename,
     // sync_dir — so persist #0 is ops 0..4, #1 is 4..9, and op 9 is the
-    // write of persist #2.
+    // write of persist #2.  One attempt per persist keeps that count exact.
     let faulted_dir = scratch.join("faulted");
-    let faulted = SessionStore::open_with(
+    let faulted = ShardedStore::open_with(
         &faulted_dir,
-        std::sync::Arc::new(FaultIo::new(FaultPlan::scripted(vec![ScriptedFault {
-            at_op: 9,
-            kind: FaultKind::TornWrite,
-        }]))),
+        ShardConfig::new(1).with_retry(RetryPolicy::no_backoff(1)),
+        |_| {
+            std::sync::Arc::new(FaultIo::new(FaultPlan::scripted(vec![ScriptedFault {
+                at_op: 9,
+                kind: FaultKind::TornWrite,
+            }])))
+        },
     )?;
     let mut acked = None;
     for i in 0..4 {
@@ -289,18 +295,18 @@ fn store_faults_section(quick: bool) -> Result<StoreSection, BenchError> {
             acked = Some(p);
         }
     }
-    let survivor = SessionStore::open(&faulted_dir)?;
+    let survivor = ShardedStore::open(&faulted_dir, ShardConfig::new(1))?;
     let scrub_torn = survivor.scrub()?;
     let torn_recovered = survivor.load("s")?.map(|l| l.snapshot_json) == acked;
 
     // Fault scenario 2: the latest generation bit-rots on disk; scrub must
     // promote the intact backup and recovery must read it.
     let rot_dir = scratch.join("bitrot");
-    let rot = SessionStore::open(&rot_dir)?;
+    let rot = ShardedStore::open(&rot_dir, ShardConfig::new(1))?;
     rot.persist("s", "{\"iter\": 0}")?;
     rot.persist("s", "{\"iter\": 1}")?;
     std::fs::write(
-        rot_dir.join("s.session"),
+        rot_dir.join(rot.shard_for("s")).join("s.session"),
         b"nnbo-session v1 9 deadbeef\ngarbage\n",
     )?;
     let scrub_rot = rot.scrub()?;
@@ -315,7 +321,10 @@ fn store_faults_section(quick: bool) -> Result<StoreSection, BenchError> {
         sharded_persist_us,
         tmp_removed: scrub_torn.tmp_removed,
         backups_promoted: scrub_rot.backups_promoted,
-        fault_recovered: torn_recovered && rot_recovered,
+        fault_recovered: scrub_torn.shards_scrubbed == 1
+            && scrub_rot.shards_scrubbed == 1
+            && torn_recovered
+            && rot_recovered,
     })
 }
 
@@ -383,6 +392,20 @@ pub fn run_robustness_bench(quick: bool) -> Result<RobustnessReport, BenchError>
     // --- store_faults section ---------------------------------------------
     let store = store_faults_section(quick)?;
 
+    // The correctness flags fail the run, so no refresh of the committed
+    // document can record a `false`.
+    if !faulted_best_is_real {
+        return Err("the faulted run reported an imputed optimum".into());
+    }
+    if !snapshot_bit_identical {
+        return Err("the resumed run diverged from the uninterrupted one".into());
+    }
+    if !store.fault_recovered {
+        return Err(
+            "a scrub failed to walk its shard or to hand recovery the acknowledged payload".into(),
+        );
+    }
+
     Ok(RobustnessReport {
         clean_run_ms,
         clean_total_events,
@@ -432,7 +455,7 @@ pub fn format_robustness_table(r: &RobustnessReport) -> String {
         r.snapshot_roundtrip_ms, r.snapshot_bit_identical
     ));
     out.push_str(&format!(
-        "store persist    {:>6.2} µs (StdIo)  {:>6.2} µs (raw fs)  dispatch overhead {:.2}%  {:>6.2} µs (4 shards)\n",
+        "store persist    {:>6.2} µs (1 shard)  {:>6.2} µs (raw fs)  dispatch overhead {:.2}%  {:>6.2} µs (4 shards)\n",
         r.store_persist_us,
         r.store_raw_persist_us,
         r.store_dispatch_overhead_pct,

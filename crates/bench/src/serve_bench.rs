@@ -31,7 +31,9 @@ use std::time::{Duration, Instant};
 
 use nnbo_core::problems::ConstrainedBranin;
 use nnbo_core::{BayesOpt, BoConfig, EnsembleConfig, Evaluation, NeuralGpEnsembleTrainer, Problem};
-use nnbo_serve::{BoService, ServeConfig, ServeError, SessionStatus, SessionStore};
+use nnbo_serve::{
+    BoService, ServeConfig, ServeError, SessionStatus, ShardConfig, ShardedStore, SnapshotStore,
+};
 
 use crate::json;
 use crate::BenchError;
@@ -97,17 +99,17 @@ fn driver(quick: bool, seed: u64) -> BayesOpt<NeuralGpEnsembleTrainer> {
     BayesOpt::neural_with(bench_config(quick, seed), ensemble)
 }
 
-fn scratch_store(tag: &str) -> Result<SessionStore, ServeError> {
+fn scratch_store(tag: &str) -> Result<ShardedStore, ServeError> {
     static UNIQ: AtomicUsize = AtomicUsize::new(0);
     let n = UNIQ.fetch_add(1, Ordering::Relaxed);
     let dir =
         std::env::temp_dir().join(format!("nnbo-serve-bench-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    SessionStore::open(dir)
+    ShardedStore::open(dir, ShardConfig::new(1))
 }
 
-fn discard_store(store: &SessionStore) {
-    let _ = std::fs::remove_dir_all(store.dir());
+fn discard_store(store: &ShardedStore) {
+    let _ = std::fs::remove_dir_all(store.root());
 }
 
 /// The evaluations the same driver produces without any service around it.
@@ -266,7 +268,7 @@ pub fn run_serve_bench(quick: bool) -> Result<ServeBenchReport, BenchError> {
     // compute and its persist, exactly where `kill -9` hurts most), then
     // bring up a fresh service over the same store.
     let store = scratch_store("recovery")?;
-    let store_dir = store.dir().to_path_buf();
+    let store_dir = store.root().to_path_buf();
     let steps_per_session = evals_per_session - bench_config(quick, 0).initial_samples + 1;
     let kill_after = (killed_sessions * steps_per_session) / 2;
     let doomed = BoService::new(
@@ -285,7 +287,7 @@ pub fn run_serve_bench(quick: bool) -> Result<ServeBenchReport, BenchError> {
     drop(doomed);
 
     let fresh = BoService::new(
-        SessionStore::open(&store_dir)?,
+        ShardedStore::open(&store_dir, ShardConfig::new(1))?,
         ServeConfig {
             max_sessions: killed_sessions,
             ..ServeConfig::default()
@@ -371,6 +373,17 @@ pub fn run_serve_bench(quick: bool) -> Result<ServeBenchReport, BenchError> {
     drop(park);
     if !rejected && overload_rejections == 0 {
         return Err("overload scenario produced no backpressure".into());
+    }
+    // The correctness flags fail the run, so no refresh of the committed
+    // document can record a `false`.
+    if !throughput_bit_identical {
+        return Err("served sessions diverged from the sequential run".into());
+    }
+    if !recovery_bit_identical {
+        return Err("recovered sessions diverged from the sequential run".into());
+    }
+    if !parked_session_completed {
+        return Err("the parked session did not complete after resumption".into());
     }
 
     Ok(ServeBenchReport {

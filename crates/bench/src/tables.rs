@@ -455,8 +455,8 @@ pub fn format_table2_highdim(rows: &[HighDimRow]) -> String {
 }
 
 /// Serialises Table I rows as the `BENCH_table1.json` document so the result
-/// trajectory can be tracked across PRs (JSON written by hand — the
-/// workspace's serde is an offline no-op stand-in).
+/// trajectory can be tracked across PRs (JSON written by hand to keep the
+/// committed `BENCH_*.json` layout of one row per line).
 pub fn format_table1_json(rows: &[Table1Row], quick: bool) -> String {
     let rendered: Vec<String> = rows
         .iter()

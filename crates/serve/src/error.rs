@@ -7,7 +7,7 @@ use nnbo_core::BoError;
 
 /// Error produced by the serving layer.
 ///
-/// Every fallible entry point of [`crate::SessionStore`] and
+/// Every fallible entry point of [`crate::ShardedStore`] and
 /// [`crate::BoService`] returns this type; nothing in the crate panics on
 /// bad input, full queues, or damaged files.
 #[derive(Debug, Clone, PartialEq)]

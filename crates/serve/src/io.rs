@@ -4,7 +4,7 @@
 //! trait: the production backend ([`StdIo`]) forwards to `std::fs`, and the
 //! deterministic fault backend ([`FaultIo`]) replays a scripted
 //! [`FaultPlan`] against a real directory — so the durability claims of
-//! [`crate::SessionStore`] and [`crate::ShardedStore`] can be *proved*
+//! [`crate::ShardedStore`] and its shard directories can be *proved*
 //! against ENOSPC, transient EIO, torn writes, dropped renames, and lost
 //! fsyncs instead of merely asserted.
 //!

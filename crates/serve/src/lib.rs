@@ -20,7 +20,7 @@
 //!   stepping.  See the supervision tree in the [`service`] module docs.
 //!
 //! * **Crash-safe persistence.**  Every completed step is checkpointed
-//!   through [`SessionStore`] with an atomic write-then-rename protocol
+//!   through [`ShardedStore`] with an atomic write-then-rename protocol
 //!   and checksum framing, so a `kill -9` at any instant loses at most the
 //!   in-flight step and torn or bit-rotted files are *detected*, never
 //!   resumed from.  Recovery is bit-identical: a restored session produces
@@ -57,10 +57,10 @@
 //! ```
 //! use std::sync::Arc;
 //! use nnbo_core::{BayesOpt, BoConfig, problems::ConstrainedBranin};
-//! use nnbo_serve::{BoService, ServeConfig, SessionStore, SessionStatus};
+//! use nnbo_serve::{BoService, ServeConfig, SessionStatus, ShardConfig, ShardedStore};
 //!
 //! let dir = std::env::temp_dir().join(format!("nnbo-serve-doc-{}", std::process::id()));
-//! let store = SessionStore::open(&dir).unwrap();
+//! let store = ShardedStore::open(&dir, ShardConfig::new(1)).unwrap();
 //! let service = BoService::new(store, ServeConfig::default());
 //!
 //! let config = BoConfig::fast(4, 8).with_seed(7);
@@ -92,4 +92,4 @@ pub use io::{FaultIo, FaultKind, FaultPlan, StdIo, StoreIo};
 pub use scrub::{ScrubAction, ScrubReport, SessionScrub};
 pub use service::{percentile_of, BoService, ServeConfig, ServeStats, SessionStatus};
 pub use shard::{RetryPolicy, ShardConfig, ShardHealth, ShardedStore};
-pub use store::{fnv1a64, LoadedSession, SessionStore, SnapshotStore};
+pub use store::{fnv1a64, LoadedSession, SnapshotStore};

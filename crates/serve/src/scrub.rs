@@ -1,12 +1,12 @@
 //! Store scrub/repair reporting.
 //!
-//! A scrub pass ([`crate::store::SessionStore::scrub`] for one directory,
-//! [`crate::shard::ShardedStore::scrub`] across every shard) walks the
+//! A scrub pass ([`crate::shard::ShardedStore::scrub`] across every shard,
+//! [`crate::SnapshotStore::repair_session`] for one session) walks the
 //! on-disk sessions, verifies checksum framing, and self-heals what it can:
 //! stray `.session.tmp` files from torn writes are deleted, an intact
 //! `.session.prev` backup is promoted over a corrupt or missing `latest`,
 //! and a corrupt backup shadowed by an intact `latest` is dropped.  The
-//! pass never changes what [`crate::store::SessionStore::load`] returns —
+//! pass never changes what [`crate::SnapshotStore::load`] returns —
 //! it only makes the already-winning generation the durable one — so
 //! recovery after a scrub replays bit-identically to recovery before it.
 
@@ -27,7 +27,7 @@ pub enum ScrubAction {
     Unrecoverable,
 }
 
-/// The per-session outcome of [`crate::store::SessionStore::scrub_session`].
+/// The per-session outcome of [`crate::SnapshotStore::repair_session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionScrub {
     /// What happened to the session's generations.

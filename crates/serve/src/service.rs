@@ -7,7 +7,7 @@
 //! [`nnbo_pool::WorkerPool`].  Each job performs exactly one unit of
 //! session work — the space-filling initial design on the first job, one
 //! model-guided iteration after that — then persists the resulting
-//! checkpoint through the [`SessionStore`] and re-enqueues the session's
+//! checkpoint through the [`ShardedStore`] and re-enqueues the session's
 //! next job.  Sessions therefore interleave fairly on a fixed number of
 //! worker threads, and a session is only ever touched by one job at a time.
 //!
@@ -49,7 +49,7 @@
 //! [`BoService::kill`] trips a process-death simulation: in-flight jobs
 //! stop before persisting, queued jobs drop on the floor, and nothing else
 //! runs.  Because checkpoints are written *after* every completed step with
-//! [`SessionStore`]'s write-then-rename protocol, a kill at any instant
+//! the store's write-then-rename protocol, a kill at any instant
 //! loses at most each session's single in-flight step; recovering the
 //! sessions into a fresh service ([`BoService::recover`]) resumes them
 //! bit-identically from the last completed step.
@@ -69,8 +69,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::deadline::DeadlineProblem;
 use crate::error::ServeError;
-use crate::shard::ShardHealth;
-use crate::store::{SessionStore, SnapshotStore};
+use crate::shard::{ShardHealth, ShardedStore};
+use crate::store::{validate_id, SnapshotStore};
 
 /// Service construction knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -331,11 +331,12 @@ impl<T: SurrogateTrainer, S: SnapshotStore> ServeInner<T, S> {
 /// The supervised multi-session Bayesian-optimization service.  See the
 /// module docs for the execution, supervision, shedding, and crash models.
 ///
-/// Generic over its persistence backend: the default [`SessionStore`] is
-/// one directory; [`crate::ShardedStore`] adds rendezvous-routed shards
+/// Persists through a [`ShardedStore`] by default: rendezvous-routed shards
 /// with retry and per-shard degradation, which the service's admission and
-/// persist paths respect (see [`ServeError::ShardUnavailable`]).
-pub struct BoService<T: SurrogateTrainer, S: SnapshotStore = SessionStore> {
+/// persist paths respect (see [`ServeError::ShardUnavailable`]).  Any other
+/// [`SnapshotStore`] — typically a wrapper delegating to a
+/// [`ShardedStore`] — can stand in its place.
+pub struct BoService<T: SurrogateTrainer, S: SnapshotStore = ShardedStore> {
     inner: Arc<ServeInner<T, S>>,
 }
 
@@ -468,7 +469,7 @@ where
         problem: Arc<dyn Problem + Send + Sync>,
         resumed: Option<BoState<T::Model>>,
     ) -> Result<Arc<Session<T>>, ServeError> {
-        SessionStore::validate_id(id)?;
+        validate_id(id)?;
         if self.inner.killed.load(Ordering::SeqCst) {
             return Err(ServeError::ServiceKilled);
         }

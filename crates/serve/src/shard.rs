@@ -1,6 +1,9 @@
-//! Sharded, self-healing session store.
+//! Sharded, self-healing session store — the crate's one store.
 //!
-//! [`ShardedStore`] spreads sessions across K directory shards.  Routing is
+//! [`ShardedStore`] spreads sessions across K directory shards (K = 1 is a
+//! single-directory deployment: `ShardedStore::open(dir, ShardConfig::new(1))`).
+//! Each shard directory holds the checksum-framed, write-then-rename
+//! generations described in the [`crate::store`] module docs.  Routing is
 //! deterministic rendezvous (highest-random-weight) hashing over the shard
 //! *names*: each `(session id, shard name)` pair gets an FNV-1a score and
 //! the highest score wins.  Adding or removing a shard therefore only moves
@@ -29,6 +32,16 @@
 //! Retries back off with decorrelated jitter
 //! (`sleep = min(cap, uniform(base, prev * 3))`), seeded so test runs are
 //! reproducible.
+//!
+//! # One shard
+//!
+//! A one-shard store writes under `<root>/shard-00/` and keeps this whole
+//! contract: faults are retried (by default 3 attempts, 1–20 ms apart),
+//! and after `down_after` exhausted operations its only shard is `Down`
+//! until a [`ShardedStore::scrub`] revives it — which
+//! [`crate::BoService`] never runs on its own.  `scrub` reports a failed
+//! walk through `shards_scrubbed`, not as an error; `list` fails only
+//! when no shard answers, so a one-shard listing still reports its error.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +54,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::ServeError;
 use crate::io::{StdIo, StoreIo};
 use crate::scrub::ScrubReport;
-use crate::store::{fnv1a64, LoadedSession, SessionStore, SnapshotStore};
+use crate::store::{fnv1a64, validate_id, LoadedSession, ShardDir, SnapshotStore};
 
 /// Health of one directory shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,7 +111,9 @@ impl RetryPolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Shard names; each becomes a subdirectory of the store root and an
-    /// input to rendezvous routing.  Order does not affect routing.
+    /// input to rendezvous routing.  Order does not affect routing.  Names
+    /// follow the session-id file-stem rule (ASCII alphanumerics, `.`, `_`,
+    /// `-`, no leading `.`) and must be distinct.
     pub shards: Vec<String>,
     /// Retry/backoff policy for transient store faults.
     pub retry: RetryPolicy,
@@ -167,7 +182,7 @@ struct HealthState {
 
 struct Shard {
     name: String,
-    store: SessionStore,
+    store: ShardDir,
     health: Mutex<HealthState>,
 }
 
@@ -188,7 +203,8 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Store`] when a shard directory cannot be created.
+    /// [`ServeError::Store`] when a shard name is not a safe file stem or
+    /// repeats another, or when a shard directory cannot be created.
     pub fn open(root: impl AsRef<Path>, config: ShardConfig) -> Result<Self, ServeError> {
         Self::open_with(root, config, |_| Arc::new(StdIo))
     }
@@ -199,7 +215,8 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Store`] when a shard directory cannot be created.
+    /// [`ServeError::Store`] when a shard name is not a safe file stem or
+    /// repeats another, or when a shard directory cannot be created.
     pub fn open_with<F>(
         root: impl AsRef<Path>,
         config: ShardConfig,
@@ -210,10 +227,19 @@ impl ShardedStore {
     {
         assert!(!config.shards.is_empty(), "ShardedStore needs >= 1 shard");
         let root = root.as_ref().to_path_buf();
+        // Names are joined onto `root`, so an unchecked one could escape it
+        // ("../x") or alias another shard's directory.
+        for (i, name) in config.shards.iter().enumerate() {
+            if validate_id(name).is_err() || config.shards[..i].contains(name) {
+                return Err(ServeError::Store {
+                    path: root.join(name).display().to_string(),
+                    reason: "shard names must be distinct, safe file stems".to_string(),
+                });
+            }
+        }
         let mut shards = Vec::with_capacity(config.shards.len());
         for name in &config.shards {
-            let dir = root.join(name);
-            let store = SessionStore::open_with(&dir, backend(name))?;
+            let store = ShardDir::open(root.join(name), backend(name))?;
             shards.push(Shard {
                 name: name.clone(),
                 store,
@@ -292,7 +318,7 @@ impl ShardedStore {
         &self,
         shard: &Shard,
         session: &str,
-        op: impl Fn(&SessionStore) -> Result<T, ServeError>,
+        op: impl Fn(&ShardDir) -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
         if recover_lock(&shard.health).health == ShardHealth::Down {
             self.stats.rejected_down.fetch_add(1, Ordering::Relaxed);
@@ -365,9 +391,9 @@ impl ShardedStore {
     ///
     /// # Errors
     ///
-    /// Currently infallible (per-shard failures are folded into the report
-    /// and shard health); the `Result` keeps the seam for walk-level
-    /// failures.
+    /// Currently infallible: a shard whose walk or repair fails is left
+    /// out of `shards_scrubbed` and marked like an exhausted operation.
+    /// The `Result` keeps the seam for walk-level failures.
     pub fn scrub(&self) -> Result<ScrubReport, ServeError> {
         let mut report = ScrubReport::default();
         for shard in &self.shards {
@@ -421,15 +447,21 @@ impl SnapshotStore for ShardedStore {
     /// Union of session ids across shards.  `Down` shards — and shards
     /// whose listing exhausts its retries — are skipped so the rest of the
     /// fleet stays listable; their sessions simply don't appear until the
-    /// shard recovers.
+    /// shard recovers.  When no shard answers, the last shard's error is
+    /// returned instead of an empty list.
     fn list(&self) -> Result<Vec<String>, ServeError> {
-        let mut ids = Vec::new();
+        let (mut ids, mut skipped) = (Vec::new(), Vec::new());
         for shard in &self.shards {
-            match self.with_retry(shard, "*", SessionStore::list) {
+            match self.with_retry(shard, "*", ShardDir::list) {
                 Ok(mut shard_ids) => ids.append(&mut shard_ids),
-                Err(ServeError::ShardUnavailable { .. } | ServeError::Store { .. }) => {}
+                Err(e @ (ServeError::ShardUnavailable { .. } | ServeError::Store { .. })) => {
+                    skipped.push(e);
+                }
                 Err(e) => return Err(e),
             }
+        }
+        if skipped.len() == self.shards.len() {
+            return Err(skipped.pop().expect("a store has at least one shard"));
         }
         ids.sort();
         ids.dedup();
@@ -533,6 +565,33 @@ mod tests {
     }
 
     #[test]
+    fn unsafe_or_repeated_shard_names_are_rejected_before_any_disk_touch() {
+        let base = temp_root("names");
+        let root = base.join("root");
+        for shards in [
+            vec!["../escaped".to_string()],
+            vec![String::new()],
+            vec![".hidden".to_string()],
+            vec!["a".to_string(), "a".to_string()],
+        ] {
+            let cfg = ShardConfig {
+                shards: shards.clone(),
+                ..ShardConfig::new(1)
+            };
+            assert!(
+                matches!(
+                    ShardedStore::open(&root, cfg),
+                    Err(ServeError::Store { .. })
+                ),
+                "shard names {shards:?} should be rejected"
+            );
+        }
+        assert!(!base.join("escaped").exists(), "a shard escaped the root");
+        assert!(!root.exists(), "a rejected config created directories");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
     fn transient_fault_is_retried_and_health_recovers() {
         let root = temp_root("retry");
         let cfg = ShardConfig::new(1).with_retry(RetryPolicy::no_backoff(3));
@@ -587,6 +646,8 @@ mod tests {
         // … while the other shard keeps serving.
         store.persist(&good, "{\"ok\":true}").unwrap();
         assert!(store.load(&good).unwrap().is_some());
+        // Listing skips the down shard while another one answers.
+        assert_eq!(store.list().unwrap(), vec![good.clone()]);
         assert!(store.stats().rejected_down >= 1);
         assert_eq!(store.stats().shard_downs, 1);
         std::fs::remove_dir_all(&root).unwrap();
@@ -606,6 +667,11 @@ mod tests {
         .unwrap();
         assert!(store.persist("s", "{}").is_err());
         assert_eq!(store.shard_health("shard-00"), Some(ShardHealth::Down));
+        // With no shard left to answer, listing reports the outage.
+        assert!(matches!(
+            store.list(),
+            Err(ServeError::ShardUnavailable { .. })
+        ));
         let report = store.scrub().unwrap();
         assert_eq!(report.shards_revived, 1);
         assert_eq!(store.shard_health("shard-00"), Some(ShardHealth::Healthy));

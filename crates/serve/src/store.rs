@@ -1,11 +1,13 @@
-//! Crash-safe persistence for session checkpoints.
+//! Crash-safe persistence for session checkpoints: the on-disk format and
+//! the per-directory engine behind every shard of [`crate::ShardedStore`].
 //!
 //! # Durability contract
 //!
-//! [`SessionStore::persist`] makes one completed step durable per call, and
-//! guarantees that **a crash at any instant leaves at least one intact,
-//! verifiable snapshot on disk** (losing at most the single step being
-//! persisted).  The sequence is the classic write-then-rename dance:
+//! A persist makes one completed step durable per call, and guarantees
+//! that **a crash at any instant leaves at least one intact, verifiable
+//! snapshot on disk** (losing at most the single step being persisted).
+//! Within the session's shard directory the sequence is the classic
+//! write-then-rename dance:
 //!
 //! 1. the framed snapshot is written to `<id>.session.tmp` and fsynced;
 //! 2. the current `<id>.session` (if any) is renamed to `<id>.session.prev`;
@@ -26,13 +28,13 @@
 //! <payload JSON>
 //! ```
 //!
-//! [`SessionStore::load`] verifies the frame before returning: a truncated
-//! file fails the length check, and any single-bit flip fails the checksum
-//! (each FNV-1a step — xor with a byte, multiply by an odd prime — is
-//! injective on the 64-bit state, so two equal-length payloads differing
-//! anywhere hash differently).  A damaged `latest` falls back to `prev`
-//! with the corruption recorded in [`LoadedSession`]; a wrong resume is
-//! never returned.
+//! A load verifies the frame before returning: a truncated file fails the
+//! length check, and any single-bit flip fails the checksum (each FNV-1a
+//! step — xor with a byte, multiply by an odd prime — is injective on the
+//! 64-bit state, so two equal-length payloads differing anywhere hash
+//! differently).  A damaged `latest` falls back to `prev` with the
+//! corruption recorded in [`LoadedSession`]; a wrong resume is never
+//! returned.
 //!
 //! # Fault model
 //!
@@ -40,18 +42,19 @@
 //! (see the [`crate::io`] module), and the store's behaviour under each
 //! disk-fault class is part of the durability contract:
 //!
-//! * **Transient faults (`EIO`, `ENOSPC`)** — `persist` returns
+//! * **Transient faults (`EIO`, `ENOSPC`)** — a persist attempt fails with
 //!   [`ServeError::Store`] with the previously persisted generations
-//!   untouched.  These are *retryable*: the sharded layer
-//!   ([`crate::ShardedStore`]) retries them with bounded decorrelated-jitter
-//!   backoff before reporting failure.
+//!   untouched.  These are *retryable*: [`crate::ShardedStore`] retries
+//!   them with bounded decorrelated-jitter backoff before reporting
+//!   failure.
 //! * **Torn writes** — a crash mid-`write` leaves a short `.tmp` file; the
 //!   durable generations are untouched because the tmp file is renamed into
-//!   place only after its fsync succeeded.  [`SessionStore::scrub_session`]
-//!   removes the stray tmp on the next start.
+//!   place only after its fsync succeeded.  The session repair pass
+//!   ([`SnapshotStore::repair_session`]) removes the stray tmp on the next
+//!   start.
 //! * **Dropped renames / lost fsyncs** — a crash before the rename (or its
 //!   durability barrier) reached the platter loses only the step being
-//!   persisted: `persist` never acknowledges success before `write`,
+//!   persisted: a persist never acknowledges success before `write`,
 //!   `sync_file`, both renames *and* the directory fsync all returned —
 //!   a failed directory fsync is surfaced as [`ServeError::Store`], not
 //!   swallowed, so an acknowledged step is durable on every path.
@@ -59,19 +62,18 @@
 //!   `latest` and `prev` generations of a session loses data, and it is
 //!   reported as [`ServeError::CorruptSnapshot`], never resumed from.
 //!
-//! [`SessionStore::scrub_session`] is the self-healing pass over this
-//! model: it deletes stray `.tmp` files, promotes an intact `prev` over a
-//! corrupt-or-missing `latest` (making the fallback [`load`] would take
-//! durable on disk), and reports what it found.  `load` before and after a
-//! scrub returns byte-identical payloads.
-//!
-//! [`load`]: SessionStore::load
+//! The session repair pass is the self-healing pass over this model: it
+//! deletes stray `.tmp` files, promotes an intact `prev` over a
+//! corrupt-or-missing `latest` (making the fallback a load would take
+//! durable on disk), and reports what it found.  A load before and after a
+//! repair returns byte-identical payloads.  [`crate::ShardedStore::scrub`]
+//! runs it over every session of every shard.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::error::ServeError;
-use crate::io::{StdIo, StoreIo};
+use crate::io::StoreIo;
 use crate::scrub::{ScrubAction, ScrubReport, SessionScrub};
 use crate::shard::ShardHealth;
 
@@ -100,9 +102,10 @@ pub struct LoadedSession {
     pub corruption: Option<String>,
 }
 
-/// The storage surface [`crate::BoService`] persists through: one
-/// directory ([`SessionStore`]) or many health-tracked shards
-/// ([`crate::ShardedStore`]).
+/// The storage surface [`crate::BoService`] persists through.
+///
+/// [`crate::ShardedStore`] is the store; the trait is the substitution seam
+/// for wrappers that delegate to it (timing or acknowledgement probes).
 pub trait SnapshotStore: Send + Sync {
     /// Persists one snapshot payload durably.
     fn persist(&self, id: &str, snapshot_json: &str) -> Result<(), ServeError>;
@@ -112,74 +115,56 @@ pub trait SnapshotStore: Send + Sync {
     fn list(&self) -> Result<Vec<String>, ServeError>;
     /// Removes every generation of `id`.
     fn remove(&self, id: &str) -> Result<(), ServeError>;
-    /// Health of the storage serving `id` (always `Healthy` for an
-    /// unsharded store; per-shard for [`crate::ShardedStore`]).
+    /// Health of the shard serving `id`.
     fn health_for(&self, id: &str) -> ShardHealth;
-    /// The shard name `id` routes to (`None` when the store is unsharded).
-    fn placement(&self, _id: &str) -> Option<String> {
-        None
-    }
+    /// The name of the shard `id` routes to (`None` when the store cannot
+    /// name one).
+    fn placement(&self, id: &str) -> Option<String>;
     /// Self-heals `id`'s on-disk generations (stray tmp removal, backup
     /// promotion) before a recovery reads them, reporting what it found.
     fn repair_session(&self, id: &str) -> Result<SessionScrub, ServeError>;
 }
 
-/// Crash-safe, per-session snapshot storage in one directory.
+/// Validates a session id (or a shard name) for use as a file stem.
+pub(crate) fn validate_id(id: &str) -> Result<(), ServeError> {
+    let ok = !id.is_empty()
+        && id.len() <= 128
+        && id
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
+        && !id.starts_with('.');
+    if ok {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidSessionId {
+            session: id.to_string(),
+        })
+    }
+}
+
+/// One shard's directory: crash-safe, per-session snapshot storage with no
+/// retry or health tracking of its own ([`crate::ShardedStore`] adds both).
 ///
 /// See the module docs for the durability contract and the fault model.
-#[derive(Debug, Clone)]
-pub struct SessionStore {
+#[derive(Debug)]
+pub(crate) struct ShardDir {
     dir: PathBuf,
     io: Arc<dyn StoreIo>,
 }
 
-impl SessionStore {
-    /// Opens (creating if needed) a store rooted at `dir` on the real
-    /// filesystem backend.
+impl ShardDir {
+    /// Opens (creating if needed) the directory `dir` over the I/O backend
+    /// `io`.
     ///
     /// # Errors
     ///
     /// [`ServeError::Store`] when the directory cannot be created.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, ServeError> {
-        SessionStore::open_with(dir, Arc::new(StdIo))
-    }
-
-    /// Opens a store over an explicit I/O backend (the seam the
-    /// fault-injection suites use; production code wants
-    /// [`SessionStore::open`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Store`] when the directory cannot be created.
-    pub fn open_with(dir: impl AsRef<Path>, io: Arc<dyn StoreIo>) -> Result<Self, ServeError> {
-        let dir = dir.as_ref().to_path_buf();
+    pub(crate) fn open(dir: PathBuf, io: Arc<dyn StoreIo>) -> Result<Self, ServeError> {
         io.create_dir_all(&dir).map_err(|e| ServeError::Store {
             path: dir.display().to_string(),
             reason: e.to_string(),
         })?;
-        Ok(SessionStore { dir, io })
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Validates a session id for use as a file stem.
-    pub fn validate_id(id: &str) -> Result<(), ServeError> {
-        let ok = !id.is_empty()
-            && id.len() <= 128
-            && id
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-            && !id.starts_with('.');
-        if ok {
-            Ok(())
-        } else {
-            Err(ServeError::InvalidSessionId {
-                session: id.to_string(),
-            })
-        }
+        Ok(ShardDir { dir, io })
     }
 
     fn latest_path(&self, id: &str) -> PathBuf {
@@ -206,8 +191,8 @@ impl SessionStore {
     /// [`ServeError::InvalidSessionId`] for unsafe ids and
     /// [`ServeError::Store`] when a write, sync, or rename fails; on error
     /// the previously persisted generations are untouched.
-    pub fn persist(&self, id: &str, snapshot_json: &str) -> Result<(), ServeError> {
-        Self::validate_id(id)?;
+    pub(crate) fn persist(&self, id: &str, snapshot_json: &str) -> Result<(), ServeError> {
+        validate_id(id)?;
         let payload = snapshot_json.as_bytes();
         let frame = format!(
             "{MAGIC} v{FORMAT_VERSION} {} {:016x}\n{snapshot_json}\n",
@@ -250,8 +235,8 @@ impl SessionStore {
     /// [`ServeError::CorruptSnapshot`] when generations exist but none
     /// verifies, [`ServeError::Store`] for I/O failures other than
     /// not-found, and [`ServeError::InvalidSessionId`] for unsafe ids.
-    pub fn load(&self, id: &str) -> Result<Option<LoadedSession>, ServeError> {
-        Self::validate_id(id)?;
+    pub(crate) fn load(&self, id: &str) -> Result<Option<LoadedSession>, ServeError> {
+        validate_id(id)?;
         let latest = match self.read_generation(&self.latest_path(id))? {
             Generation::Ok(json) => {
                 return Ok(Some(LoadedSession {
@@ -290,7 +275,7 @@ impl SessionStore {
     /// # Errors
     ///
     /// [`ServeError::Store`] when the directory cannot be read.
-    pub fn list(&self) -> Result<Vec<String>, ServeError> {
+    pub(crate) fn list(&self) -> Result<Vec<String>, ServeError> {
         let names = self.io.list(&self.dir).map_err(|e| ServeError::Store {
             path: self.dir.display().to_string(),
             reason: e.to_string(),
@@ -313,8 +298,8 @@ impl SessionStore {
     /// # Errors
     ///
     /// [`ServeError::Store`] when an existing file cannot be removed.
-    pub fn remove(&self, id: &str) -> Result<(), ServeError> {
-        Self::validate_id(id)?;
+    pub(crate) fn remove(&self, id: &str) -> Result<(), ServeError> {
+        validate_id(id)?;
         let io_err = io_err();
         for path in [self.latest_path(id), self.prev_path(id), self.tmp_path(id)] {
             self.io.remove_file(&path).map_err(|e| io_err(&path, e))?;
@@ -325,15 +310,15 @@ impl SessionStore {
     /// Self-heals the on-disk generations of one session (see the module
     /// docs' fault model): removes a stray `.tmp`, promotes an intact
     /// `prev` over a corrupt-or-missing `latest`, and deletes a corrupt
-    /// `prev` shadowed by an intact `latest`.  [`SessionStore::load`]
-    /// returns byte-identical payloads before and after.
+    /// `prev` shadowed by an intact `latest`.  [`ShardDir::load`] returns
+    /// byte-identical payloads before and after.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidSessionId`] for unsafe ids and
     /// [`ServeError::Store`] for I/O failures during the repair.
-    pub fn scrub_session(&self, id: &str) -> Result<SessionScrub, ServeError> {
-        Self::validate_id(id)?;
+    pub(crate) fn scrub_session(&self, id: &str) -> Result<SessionScrub, ServeError> {
+        validate_id(id)?;
         let io_err = io_err();
         let tmp = self.tmp_path(id);
         let mut scrub = SessionScrub::default();
@@ -382,7 +367,7 @@ impl SessionStore {
     /// # Errors
     ///
     /// [`ServeError::Store`] when the directory walk or a repair fails.
-    pub fn scrub_into(&self, report: &mut ScrubReport) -> Result<(), ServeError> {
+    pub(crate) fn scrub_into(&self, report: &mut ScrubReport) -> Result<(), ServeError> {
         let names = self.io.list(&self.dir).map_err(|e| ServeError::Store {
             path: self.dir.display().to_string(),
             reason: e.to_string(),
@@ -404,18 +389,6 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Scrubs every session in the directory and reports what was healed.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Store`] when the directory walk or a repair fails.
-    pub fn scrub(&self) -> Result<ScrubReport, ServeError> {
-        let mut report = ScrubReport::default();
-        self.scrub_into(&mut report)?;
-        report.shards_scrubbed = 1;
-        Ok(report)
-    }
-
     /// Reads and verifies one generation file.
     fn read_generation(&self, path: &Path) -> Result<Generation, ServeError> {
         let bytes = match self.io.read(path) {
@@ -429,32 +402,6 @@ impl SessionStore {
             }
         };
         Ok(verify_frame(&bytes))
-    }
-}
-
-impl SnapshotStore for SessionStore {
-    fn persist(&self, id: &str, snapshot_json: &str) -> Result<(), ServeError> {
-        SessionStore::persist(self, id, snapshot_json)
-    }
-
-    fn load(&self, id: &str) -> Result<Option<LoadedSession>, ServeError> {
-        SessionStore::load(self, id)
-    }
-
-    fn list(&self) -> Result<Vec<String>, ServeError> {
-        SessionStore::list(self)
-    }
-
-    fn remove(&self, id: &str) -> Result<(), ServeError> {
-        SessionStore::remove(self, id)
-    }
-
-    fn health_for(&self, _id: &str) -> ShardHealth {
-        ShardHealth::Healthy
-    }
-
-    fn repair_session(&self, id: &str) -> Result<SessionScrub, ServeError> {
-        self.scrub_session(id)
     }
 }
 
@@ -561,36 +508,36 @@ mod tests {
     use super::*;
     use std::fs;
 
-    fn scratch_dir(tag: &str) -> PathBuf {
+    fn scratch_store(tag: &str) -> ShardDir {
         static UNIQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("nnbo-serve-store-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        ShardDir::open(dir, Arc::new(crate::io::StdIo)).unwrap()
     }
 
     #[test]
     fn persist_then_load_round_trips() {
-        let store = SessionStore::open(scratch_dir("roundtrip")).unwrap();
+        let store = scratch_store("roundtrip");
         store.persist("s1", "{\"x\":1}").unwrap();
         let loaded = store.load("s1").unwrap().unwrap();
         assert_eq!(loaded.snapshot_json, "{\"x\":1}");
         assert!(!loaded.recovered_from_backup);
         assert!(loaded.corruption.is_none());
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn unknown_session_loads_as_none() {
-        let store = SessionStore::open(scratch_dir("none")).unwrap();
+        let store = scratch_store("none");
         assert_eq!(store.load("nope").unwrap(), None);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn truncated_latest_falls_back_to_prev() {
-        let store = SessionStore::open(scratch_dir("trunc")).unwrap();
+        let store = scratch_store("trunc");
         store.persist("s", "first").unwrap();
         store.persist("s", "second").unwrap();
         let latest = store.latest_path("s");
@@ -600,12 +547,12 @@ mod tests {
         assert_eq!(loaded.snapshot_json, "first");
         assert!(loaded.recovered_from_backup);
         assert!(loaded.corruption.unwrap().contains("torn write"));
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn bit_flip_in_payload_is_detected() {
-        let store = SessionStore::open(scratch_dir("flip")).unwrap();
+        let store = scratch_store("flip");
         store.persist("s", "first-generation").unwrap();
         store.persist("s", "second-generation").unwrap();
         let latest = store.latest_path("s");
@@ -617,24 +564,24 @@ mod tests {
         assert_eq!(loaded.snapshot_json, "first-generation");
         assert!(loaded.recovered_from_backup);
         assert!(loaded.corruption.unwrap().contains("checksum mismatch"));
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn both_generations_damaged_is_an_error_not_a_wrong_resume() {
-        let store = SessionStore::open(scratch_dir("both")).unwrap();
+        let store = scratch_store("both");
         store.persist("s", "first").unwrap();
         store.persist("s", "second").unwrap();
         fs::write(store.latest_path("s"), b"garbage").unwrap();
         fs::write(store.prev_path("s"), b"also garbage").unwrap();
         let err = store.load("s").unwrap_err();
         assert!(matches!(err, ServeError::CorruptSnapshot { .. }));
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn list_and_remove() {
-        let store = SessionStore::open(scratch_dir("list")).unwrap();
+        let store = scratch_store("list");
         store.persist("b", "1").unwrap();
         store.persist("a", "1").unwrap();
         store.persist("a", "2").unwrap();
@@ -645,12 +592,12 @@ mod tests {
         store.remove("a").unwrap();
         assert_eq!(store.list().unwrap(), vec!["b".to_string()]);
         assert_eq!(store.load("a").unwrap(), None);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn unsafe_ids_are_rejected() {
-        let store = SessionStore::open(scratch_dir("ids")).unwrap();
+        let store = scratch_store("ids");
         for bad in ["", "a/b", "../x", ".hidden", "a b", "x\n"] {
             assert!(
                 matches!(
@@ -660,8 +607,8 @@ mod tests {
                 "id {bad:?} should be rejected"
             );
         }
-        assert!(SessionStore::validate_id("ok-id_1.v2").is_ok());
-        let _ = fs::remove_dir_all(store.dir());
+        assert!(validate_id("ok-id_1.v2").is_ok());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]

@@ -17,7 +17,9 @@ use nnbo_core::{
     BayesOpt, BoConfig, BoError, EvalOutcome, Evaluation, Prediction, Problem, SurrogateModel,
     SurrogateTrainer, SweepProblem,
 };
-use nnbo_serve::{BoService, ServeConfig, ServeError, SessionStatus, SessionStore};
+use nnbo_serve::{
+    BoService, ServeConfig, ServeError, SessionStatus, ShardConfig, ShardedStore, SnapshotStore,
+};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -69,13 +71,13 @@ fn sequential_reference(seed: u64) -> Vec<(Vec<f64>, Evaluation)> {
         .to_vec()
 }
 
-fn scratch_store(tag: &str) -> SessionStore {
+fn scratch_store(tag: &str) -> ShardedStore {
     static UNIQ: AtomicUsize = AtomicUsize::new(0);
     let n = UNIQ.fetch_add(1, Ordering::Relaxed);
     let dir =
         std::env::temp_dir().join(format!("nnbo-serve-chaos-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    SessionStore::open(dir).expect("scratch store opens")
+    ShardedStore::open(dir, ShardConfig::new(1)).expect("scratch store opens")
 }
 
 /// Panics on one scripted `try_evaluate` call (per-instance counter).
@@ -235,7 +237,7 @@ fn sessions_complete_and_match_the_sequential_loop_bit_identically() {
     assert_eq!(stats.steps_completed, 4 * JOBS_PER_SESSION);
     assert_eq!(stats.steps_persisted, 4 * JOBS_PER_SESSION);
     assert!(service.step_latency_ms(99.0).unwrap() > 0.0);
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 #[test]
@@ -291,7 +293,7 @@ fn a_panicking_session_is_quarantined_alone_and_its_worker_recycled() {
     // The doomed session's last checkpoint is intact: recovering it with a
     // healthy problem finishes the run exactly as the unfaulted loop would.
     let fresh: BoService<MeanTrainer> = BoService::new(
-        SessionStore::open(service.store().dir()).unwrap(),
+        ShardedStore::open(service.store().root(), ShardConfig::new(1)).unwrap(),
         ServeConfig {
             workers: Some(1),
             ..ServeConfig::default()
@@ -307,7 +309,7 @@ fn a_panicking_session_is_quarantined_alone_and_its_worker_recycled() {
     fresh.drain();
     assert_eq!(fresh.status("doomed").unwrap(), SessionStatus::Completed);
     assert_eq!(fresh.history("doomed").unwrap(), sequential_reference(2));
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 #[test]
@@ -345,13 +347,13 @@ fn a_hung_evaluation_times_out_into_the_resilience_path() {
     );
     let result = service.result("laggard").unwrap();
     assert_eq!(result.num_evaluations(), 10, "the budget still completes");
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 #[test]
 fn corrupted_latest_checkpoint_recovers_from_the_backup_generation() {
     let store = scratch_store("corrupt");
-    let dir = store.dir().to_path_buf();
+    let dir = store.root().to_path_buf();
     let service: BoService<MeanTrainer> = BoService::new(
         store,
         ServeConfig {
@@ -367,14 +369,16 @@ fn corrupted_latest_checkpoint_recovers_from_the_backup_generation() {
     assert!(service.stats().steps_lost_to_kill >= 1);
 
     // Bit-rot the primary generation on disk.
-    let latest = dir.join("victim.session");
+    let latest = dir
+        .join(service.store().shard_for("victim"))
+        .join("victim.session");
     let mut bytes = std::fs::read(&latest).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&latest, &bytes).unwrap();
 
     let fresh: BoService<MeanTrainer> = BoService::new(
-        SessionStore::open(&dir).unwrap(),
+        ShardedStore::open(&dir, ShardConfig::new(1)).unwrap(),
         ServeConfig {
             workers: Some(1),
             ..ServeConfig::default()
@@ -403,7 +407,7 @@ fn corrupted_latest_checkpoint_recovers_from_the_backup_generation() {
 #[test]
 fn killed_service_recovers_every_session_bit_identically() {
     let store = scratch_store("kill");
-    let dir = store.dir().to_path_buf();
+    let dir = store.root().to_path_buf();
     let seeds = [71u64, 72, 73];
     let service: BoService<MeanTrainer> = BoService::new(
         store,
@@ -446,7 +450,7 @@ fn killed_service_recovers_every_session_bit_identically() {
 
     // "Restart the process": a fresh service over the same store directory.
     let fresh: BoService<MeanTrainer> = BoService::new(
-        SessionStore::open(&dir).unwrap(),
+        ShardedStore::open(&dir, ShardConfig::new(1)).unwrap(),
         ServeConfig {
             workers: Some(2),
             ..ServeConfig::default()
@@ -523,7 +527,7 @@ fn overload_sheds_the_oldest_idle_session_and_resumes_it_later() {
     let stats = service.stats();
     assert_eq!(stats.sessions_unparked, 1);
     assert_eq!(stats.overload_rejections, 0);
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 #[test]
@@ -556,7 +560,7 @@ fn overload_with_no_idle_session_is_rejected_with_backpressure() {
     gate.open();
     service.drain();
     assert_eq!(service.status("busy").unwrap(), SessionStatus::Completed);
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 /// A deterministic analytic testbench for sweep sessions: the measurement
@@ -666,7 +670,7 @@ fn sweep_sessions_share_the_pool_and_match_the_sequential_sweep_bit_identically(
     let stats = service.stats();
     assert_eq!(stats.sessions_completed, 3);
     assert_eq!(stats.sessions_quarantined, 0);
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 #[test]
@@ -737,7 +741,7 @@ fn a_mid_sweep_corner_panic_quarantines_only_its_session() {
     // The doomed session's checkpoints survived the corner panic: recovery
     // with a healthy sweep bench completes exactly as the unfaulted run.
     let fresh: BoService<MeanTrainer> = BoService::new(
-        SessionStore::open(service.store().dir()).unwrap(),
+        ShardedStore::open(service.store().root(), ShardConfig::new(1)).unwrap(),
         ServeConfig {
             workers: Some(1),
             ..ServeConfig::default()
@@ -750,7 +754,7 @@ fn a_mid_sweep_corner_panic_quarantines_only_its_session() {
     fresh.drain();
     assert_eq!(fresh.status("doomed").unwrap(), SessionStatus::Completed);
     assert_eq!(fresh.history("doomed").unwrap(), sweep_reference(2));
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 #[test]
@@ -778,7 +782,7 @@ fn admission_rejects_duplicates_bad_ids_and_mismatched_recoveries() {
     // Recovering under a different configuration must refuse, not resume
     // wrongly.
     let fresh: BoService<MeanTrainer> = BoService::new(
-        SessionStore::open(service.store().dir()).unwrap(),
+        ShardedStore::open(service.store().root(), ShardConfig::new(1)).unwrap(),
         ServeConfig {
             workers: Some(1),
             ..ServeConfig::default()
@@ -793,16 +797,11 @@ fn admission_rejects_duplicates_bad_ids_and_mismatched_recoveries() {
         fresh.recover("never-seen", driver(1), Arc::new(ConstrainedBranin)),
         Err(ServeError::SessionNotFound { .. })
     ));
-    let _ = std::fs::remove_dir_all(service.store().dir());
+    let _ = std::fs::remove_dir_all(service.store().root());
 }
 
 /// Finds `want` session ids that the sharded store routes to `shard`.
-fn ids_on_shard(
-    store: &nnbo_serve::ShardedStore,
-    shard: &str,
-    want: usize,
-    tag: &str,
-) -> Vec<String> {
+fn ids_on_shard(store: &ShardedStore, shard: &str, want: usize, tag: &str) -> Vec<String> {
     let mut out = Vec::new();
     for i in 0.. {
         let id = format!("{tag}-{i}");
@@ -818,9 +817,7 @@ fn ids_on_shard(
 
 #[test]
 fn down_shard_parks_its_sessions_while_the_other_shard_completes() {
-    use nnbo_serve::{
-        FaultIo, FaultKind, FaultPlan, RetryPolicy, ShardConfig, ShardedStore, StdIo,
-    };
+    use nnbo_serve::{FaultIo, FaultKind, FaultPlan, RetryPolicy, StdIo};
 
     let root = std::env::temp_dir().join(format!("nnbo-chaos-shard-down-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -889,7 +886,7 @@ fn down_shard_parks_its_sessions_while_the_other_shard_completes() {
 
 #[test]
 fn scrub_revives_the_shard_and_the_parked_session_finishes_bit_identically() {
-    use nnbo_serve::{FaultIo, FaultKind, FaultPlan, RetryPolicy, ShardConfig, ShardedStore};
+    use nnbo_serve::{FaultIo, FaultKind, FaultPlan, RetryPolicy};
 
     let root = std::env::temp_dir().join(format!("nnbo-chaos-shard-revive-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

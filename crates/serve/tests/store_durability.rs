@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nnbo_serve::{ServeError, SessionStore};
+use nnbo_serve::{ServeError, ShardConfig, ShardedStore, SnapshotStore};
 use proptest::prelude::*;
 
 fn scratch_dir() -> PathBuf {
@@ -34,23 +34,31 @@ fn payload(max_len: usize) -> impl Strategy<Value = String> {
 }
 
 /// Persists two generations so `prev` holds `old` and `latest` holds `new`.
-fn seeded_store(old: &str, new: &str) -> SessionStore {
-    let store = SessionStore::open(scratch_dir()).expect("store opens");
+fn seeded_store(old: &str, new: &str) -> ShardedStore {
+    let store = open_store();
     store.persist("s", old).expect("first persist");
     store.persist("s", new).expect("second persist");
     store
 }
 
-fn latest_path(store: &SessionStore) -> PathBuf {
-    store.dir().join("s.session")
+/// A fresh one-shard store in its own scratch directory.
+fn open_store() -> ShardedStore {
+    ShardedStore::open(scratch_dir(), ShardConfig::new(1)).expect("store opens")
 }
 
-fn prev_path(store: &SessionStore) -> PathBuf {
-    store.dir().join("s.session.prev")
+fn latest_path(store: &ShardedStore) -> PathBuf {
+    store.root().join(store.shard_for("s")).join("s.session")
 }
 
-fn cleanup(store: SessionStore) {
-    let _ = std::fs::remove_dir_all(store.dir());
+fn prev_path(store: &ShardedStore) -> PathBuf {
+    store
+        .root()
+        .join(store.shard_for("s"))
+        .join("s.session.prev")
+}
+
+fn cleanup(store: ShardedStore) {
+    let _ = std::fs::remove_dir_all(store.root());
 }
 
 /// Flips one bit of the byte at `offset % len`.
@@ -139,7 +147,7 @@ proptest! {
     /// Payloads round-trip exactly, whatever characters they contain.
     #[test]
     fn arbitrary_payloads_round_trip(text in payload(200)) {
-        let store = SessionStore::open(scratch_dir()).expect("store opens");
+        let store = open_store();
         store.persist("s", &text).expect("persist");
         let loaded = store.load("s").expect("load").expect("exists");
         prop_assert_eq!(loaded.snapshot_json, text);

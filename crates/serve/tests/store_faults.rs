@@ -21,8 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nnbo_serve::{
-    FaultIo, FaultKind, FaultPlan, RetryPolicy, SessionStore, ShardConfig, ShardedStore,
-    SnapshotStore, StdIo,
+    FaultIo, FaultKind, FaultPlan, RetryPolicy, ShardConfig, ShardedStore, SnapshotStore, StdIo,
 };
 use proptest::prelude::*;
 
@@ -51,14 +50,20 @@ fn fault_plan(horizon: usize) -> impl Strategy<Value = FaultPlan> {
     })
 }
 
-/// Drives `count` persists through a faulted backend; returns the payloads
-/// and the index of the last acknowledged one.
+/// Drives `count` persists through a faulted one-shard store; returns the
+/// payloads and the index of the last acknowledged one.  One attempt per
+/// persist and a shard that never goes `Down` make every persist reach the
+/// backend exactly once, so each plan index names a fixed syscall.
 fn run_faulted_sequence(
     dir: &PathBuf,
     plan: FaultPlan,
     count: usize,
 ) -> (Vec<String>, Option<usize>) {
-    let store = SessionStore::open_with(dir, Arc::new(FaultIo::new(plan))).expect("store opens");
+    let cfg = ShardConfig::new(1)
+        .with_retry(RetryPolicy::no_backoff(1))
+        .with_down_after(u32::MAX);
+    let store = ShardedStore::open_with(dir, cfg, |_| Arc::new(FaultIo::new(plan.clone())))
+        .expect("store opens");
     let payloads: Vec<String> = (0..count)
         .map(|i| format!("{{\"iter\":{i},\"best\":{}}}", i * 3 + 1))
         .collect();
@@ -88,7 +93,7 @@ proptest! {
         let dir = scratch_dir("loss");
         let (payloads, last_ok) = run_faulted_sequence(&dir, plan, count);
         // The restarted process: same directory, clean backend.
-        let survivor = SessionStore::open(&dir).expect("reopen");
+        let survivor = ShardedStore::open(&dir, ShardConfig::new(1)).expect("reopen");
         let loaded = survivor.load("s").expect("surviving generations verify");
         match loaded {
             Some(l) => {
@@ -118,12 +123,14 @@ proptest! {
     ) {
         let dir = scratch_dir("scrub");
         let _ = run_faulted_sequence(&dir, plan, count);
-        let survivor = SessionStore::open(&dir).expect("reopen");
+        let survivor = ShardedStore::open(&dir, ShardConfig::new(1)).expect("reopen");
         let before = survivor
             .load("s")
             .expect("surviving generations verify")
             .map(|l| l.snapshot_json);
         let report = survivor.scrub().expect("scrub walks the directory");
+        prop_assert_eq!(report.shards_scrubbed, 1);
+        prop_assert_eq!(report.shards_still_down, 0);
         prop_assert!(report.unrecoverable.is_empty(), "injected faults never corrupt acked state");
         let after = survivor
             .load("s")
@@ -132,6 +139,8 @@ proptest! {
         prop_assert_eq!(before, after);
         // Debris is gone: a second scrub finds nothing to do.
         let second = survivor.scrub().expect("second scrub");
+        prop_assert_eq!(second.shards_scrubbed, 1);
+        prop_assert_eq!(second.shards_still_down, 0);
         prop_assert_eq!(second.tmp_removed, 0);
         prop_assert_eq!(second.backups_promoted, 0);
         let _ = std::fs::remove_dir_all(&dir);
