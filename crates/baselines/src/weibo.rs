@@ -167,8 +167,8 @@ impl SurrogateTrainer for GpSurrogateTrainer {
     /// Multi-output fitting through [`GpModel::fit_multi_warm_cached`]: the
     /// objective and every constraint share one fit context (pairwise
     /// squared-distance tensor over the common design points, grown
-    /// incrementally across refits through the trainer's cache), train on
-    /// scoped threads, and — when the previous refit's surrogates are
+    /// incrementally across refits through the trainer's cache), train as
+    /// worker-pool bands, and — when the previous refit's surrogates are
     /// supplied — warm-start each output's hyper-parameter optimization from
     /// its last optimum instead of rerunning the multi-restart schedule.
     fn fit_many(

@@ -31,7 +31,6 @@ fn main() -> Result<(), BoError> {
             epochs: 100,
             ..NeuralGpConfig::default()
         },
-        parallel: true,
     };
     let result = BayesOpt::neural_with(config, ensemble).run(&problem)?;
 

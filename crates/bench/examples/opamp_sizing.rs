@@ -29,7 +29,6 @@ fn main() -> Result<(), BoError> {
             epochs: 120,
             ..NeuralGpConfig::default()
         },
-        parallel: true,
     };
     println!(
         "sizing the two-stage op-amp: {} initial samples, {} total simulations",

@@ -56,7 +56,6 @@ fn run_all(problem: &dyn Problem) -> Vec<(&'static str, OptimizationResult)> {
             epochs: 100,
             ..NeuralGpConfig::default()
         },
-        parallel: true,
     };
     let ours = BayesOpt::neural_with(BoConfig::new(INIT, BUDGET_BO).with_seed(1), ensemble)
         .run(problem)

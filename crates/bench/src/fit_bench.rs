@@ -350,7 +350,6 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
     let ens_config = EnsembleConfig {
         members: if quick { 2 } else { 3 },
         member_config: ngp_config.clone(),
-        parallel: true,
     };
     let member_nll_sum = |e: &NeuralGpEnsemble| e.members().iter().map(NeuralGp::nll).sum::<f64>();
     let prev_ens = NeuralGpEnsemble::fit(

@@ -171,7 +171,6 @@ impl Protocol {
                 epochs: self.epochs,
                 ..NeuralGpConfig::default()
             },
-            parallel: true,
         }
     }
 }

@@ -12,7 +12,6 @@ fn fast_ensemble() -> EnsembleConfig {
             epochs: 60,
             ..NeuralGpConfig::fast()
         },
-        parallel: false,
     }
 }
 

@@ -13,7 +13,6 @@ fn fast_ensemble() -> EnsembleConfig {
             epochs: 60,
             ..NeuralGpConfig::fast()
         },
-        parallel: false,
     }
 }
 

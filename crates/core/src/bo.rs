@@ -947,7 +947,7 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     /// Full fits go through [`SurrogateTrainer::fit_many`], handing the
     /// trainer every output (objective plus constraints) in one call so
     /// shareable fit structure is computed once and the per-output training
-    /// can run on scoped threads; the previous refit's surrogates are passed
+    /// can run as worker-pool bands; the previous refit's surrogates are passed
     /// along for trainers that warm-start (the classical GP's
     /// hyper-parameters, the neural ensemble's member networks).
     fn refresh_models(
@@ -1299,25 +1299,20 @@ struct ModelSnapshot {
     fit_nll_per_point: Option<f64>,
 }
 
-/// Prediction buffers reused across the acquisition scoring of every loop
-/// iteration (one vector per modelled output, plus per-band buffers for the
-/// worker-pool split and the per-candidate acquisition values), so the
-/// batched prediction path writes into stable allocations.
+/// Buffers reused across the acquisition scoring of every loop iteration
+/// (the per-candidate acquisition values plus one set of prediction buffers
+/// per scoring band), so the batched prediction path writes into stable
+/// allocations.
 struct ScoreBuffers {
-    objective: Vec<crate::surrogate::Prediction>,
-    constraints: Vec<Vec<crate::surrogate::Prediction>>,
     /// Acquisition value of every candidate, in candidate order.
     acquisition: Vec<f64>,
-    /// Per-band prediction buffers of the parallel scoring path (empty until
-    /// a multi-band scoring pass runs).
+    /// Per-band prediction buffers (grown to the largest band count seen).
     bands: Vec<BandBuffers>,
 }
 
 impl ScoreBuffers {
     fn new() -> Self {
         ScoreBuffers {
-            objective: Vec::new(),
-            constraints: Vec::new(),
             acquisition: Vec::new(),
             bands: Vec::new(),
         }
@@ -1367,16 +1362,15 @@ const PARALLEL_SCORE_MIN_CANDIDATES: usize = 256;
 const PARALLEL_SCORE_BAND_MIN: usize = 128;
 
 /// Number of bands to split `n` candidates over: bounded by the pool's
-/// useful fan-out and by [`PARALLEL_SCORE_BAND_MIN`] points per band; `1`
-/// (the sequential reference) below the parallel threshold or on a
-/// single-participant pool.
+/// [`nnbo_pool::WorkerPool::max_bands`] and by [`PARALLEL_SCORE_BAND_MIN`]
+/// points per band; `1` (the sequential reference) below the parallel
+/// threshold or on a single-participant pool.
 fn score_bands(n: usize) -> usize {
     if n < PARALLEL_SCORE_MIN_CANDIDATES {
         return 1;
     }
     nnbo_pool::WorkerPool::global()
-        .participants()
-        .min(8)
+        .max_bands()
         .min(n / PARALLEL_SCORE_BAND_MIN)
         .max(1)
 }
@@ -1385,14 +1379,13 @@ fn score_bands(n: usize) -> usize {
 /// `scores.acquisition` with one acquisition value per candidate (in
 /// candidate order).
 ///
-/// `bands <= 1` is the sequential reference: one full-batch prediction per
-/// surrogate, then a sequential acquisition sweep.  `bands > 1` splits the
-/// candidate set into contiguous chunks fanned out over
-/// [`nnbo_pool::WorkerPool::global`]; every band predicts its chunk into
-/// its own [`BandBuffers`] and writes its disjoint slice of the acquisition
-/// output.  Because [`SurrogateModel::predict_batch_into`] is contractually
+/// The candidates are split into at most `bands` contiguous chunks, each
+/// scored by [`score_band`] into its own [`BandBuffers`] and its disjoint
+/// slice of the acquisition output, on [`nnbo_pool::WorkerPool::global`];
+/// `bands <= 1` is the sequential reference (one chunk, run inline).
+/// Because [`SurrogateModel::predict_batch_into`] is contractually
 /// per-point (overrides must write exactly what per-point `predict` calls
-/// would), chunked prediction — and therefore the whole banded path — is
+/// would), chunked prediction — and therefore every band count — is
 /// **bit-identical** to the sequential reference, which the loop's tests
 /// pin at forced band counts.
 fn score_candidates<M: SurrogateModel>(
@@ -1406,55 +1399,52 @@ fn score_candidates<M: SurrogateModel>(
     let n = candidates.len();
     scores.acquisition.clear();
     scores.acquisition.resize(n, f64::NEG_INFINITY);
-    if bands <= 1 || n < 2 {
-        fitted
-            .objective
-            .predict_batch_into(candidates, &mut scores.objective);
-        scores
-            .constraints
-            .resize_with(fitted.constraints.len(), Vec::new);
-        for (model, preds) in fitted.constraints.iter().zip(scores.constraints.iter_mut()) {
-            model.predict_batch_into(candidates, preds);
-        }
-        let mut constraint_buf = Vec::with_capacity(scores.constraints.len());
-        for (idx, objective_pred) in scores.objective.iter().enumerate() {
-            constraint_buf.clear();
-            constraint_buf.extend(scores.constraints.iter().map(|preds| preds[idx]));
-            scores.acquisition[idx] =
-                acquisition::evaluate(kind, objective_pred, &constraint_buf, tau);
-        }
-        return;
-    }
-
-    let chunk = n.div_ceil(bands);
+    let chunk = n.div_ceil(bands.max(1)).max(1);
     let n_bands = n.div_ceil(chunk);
     if scores.bands.len() < n_bands {
         scores.bands.resize_with(n_bands, BandBuffers::default);
     }
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_bands);
-    for ((chunk_xs, out), band) in candidates
+    let mut jobs: Vec<_> = candidates
         .chunks(chunk)
         .zip(scores.acquisition.chunks_mut(chunk))
         .zip(scores.bands.iter_mut())
+        .collect();
+    nnbo_pool::WorkerPool::global().for_each_band(&mut jobs, 1, n_bands, |_, band| {
+        for ((chunk_xs, out), buffers) in band {
+            score_band(fitted, chunk_xs, kind, tau, buffers, out);
+        }
+    });
+}
+
+/// Scores one contiguous chunk of candidates into `out`, predicting through
+/// the band's reusable `buffers`.
+fn score_band<M: SurrogateModel>(
+    fitted: &FittedModels<M>,
+    candidates: &[Vec<f64>],
+    kind: AcquisitionKind,
+    tau: Option<f64>,
+    buffers: &mut BandBuffers,
+    out: &mut [f64],
+) {
+    fitted
+        .objective
+        .predict_batch_into(candidates, &mut buffers.objective);
+    buffers
+        .constraints
+        .resize_with(fitted.constraints.len(), Vec::new);
+    for (model, preds) in fitted
+        .constraints
+        .iter()
+        .zip(buffers.constraints.iter_mut())
     {
-        tasks.push(Box::new(move || {
-            fitted
-                .objective
-                .predict_batch_into(chunk_xs, &mut band.objective);
-            band.constraints
-                .resize_with(fitted.constraints.len(), Vec::new);
-            for (model, preds) in fitted.constraints.iter().zip(band.constraints.iter_mut()) {
-                model.predict_batch_into(chunk_xs, preds);
-            }
-            let mut constraint_buf = Vec::with_capacity(band.constraints.len());
-            for (idx, objective_pred) in band.objective.iter().enumerate() {
-                constraint_buf.clear();
-                constraint_buf.extend(band.constraints.iter().map(|preds| preds[idx]));
-                out[idx] = acquisition::evaluate(kind, objective_pred, &constraint_buf, tau);
-            }
-        }));
+        model.predict_batch_into(candidates, preds);
     }
-    nnbo_pool::WorkerPool::global().run_batch(tasks);
+    let mut constraint_buf = Vec::with_capacity(buffers.constraints.len());
+    for (idx, objective_pred) in buffers.objective.iter().enumerate() {
+        constraint_buf.clear();
+        constraint_buf.extend(buffers.constraints.iter().map(|preds| preds[idx]));
+        out[idx] = acquisition::evaluate(kind, objective_pred, &constraint_buf, tau);
+    }
 }
 
 /// Draws a standard-normal sample by the Box–Muller transform (avoids pulling in a

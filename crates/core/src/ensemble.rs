@@ -14,9 +14,6 @@ pub struct EnsembleConfig {
     pub members: usize,
     /// Configuration of each member.
     pub member_config: NeuralGpConfig,
-    /// Train the members on separate threads (the paper notes the ensemble can be
-    /// constructed in parallel).
-    pub parallel: bool,
 }
 
 impl Default for EnsembleConfig {
@@ -24,7 +21,6 @@ impl Default for EnsembleConfig {
         EnsembleConfig {
             members: 5,
             member_config: NeuralGpConfig::default(),
-            parallel: true,
         }
     }
 }
@@ -35,7 +31,6 @@ impl EnsembleConfig {
         EnsembleConfig {
             members: 3,
             member_config: NeuralGpConfig::fast(),
-            parallel: false,
         }
     }
 }
@@ -134,8 +129,8 @@ impl NeuralGpEnsemble {
                 prev: prev.and_then(|e| e.members().get(k)),
             })
             .collect();
-        let results = train_members(xs, &jobs, config);
-        Self::from_member_results(results)
+        let bands = nnbo_pool::WorkerPool::global().max_bands();
+        Self::from_member_results(train_members(xs, &jobs, config, bands))
     }
 
     /// Assembles an ensemble from per-member training results, applying the
@@ -229,69 +224,34 @@ struct MemberJob<'a> {
 /// Trains one [`NeuralGp`] per job over the shared design points, in job
 /// order, warm-starting from each job's previous member when present.
 ///
-/// With `config.parallel` on a multi-core machine the flat job list is split
-/// into contiguous bands over at most `min(cores, 8, jobs)` scoped worker
-/// threads — one layer of parallelism regardless of how many outputs ×
-/// members the jobs span, so the thread count never exceeds the hardware.
-/// Every member's rng derives solely from its job seed, making the results
-/// bit-identical to the sequential loop.
+/// The paper notes that the ensemble can be constructed in parallel: the
+/// flat job list is split into at most `bands` contiguous bands on the
+/// shared worker pool (callers pass [`nnbo_pool::WorkerPool::max_bands`]) —
+/// one layer of parallelism regardless of how many outputs × members the
+/// jobs span, so the thread count never exceeds the hardware.  Every
+/// member's rng derives solely from its job seed, so the results are
+/// bit-identical for every band count.
+///
+/// A panicking member is caught on its own and becomes that member's `Err`,
+/// naming the panic message, so which members survive (and hence the
+/// quorum verdict) does not depend on the band count either.
 fn train_members(
     xs: &[Vec<f64>],
     jobs: &[MemberJob<'_>],
     config: &EnsembleConfig,
-) -> Vec<Result<NeuralGp, String>> {
-    let participants = nnbo_pool::WorkerPool::global().participants();
-    let workers = if config.parallel {
-        participants.min(8).min(jobs.len())
-    } else {
-        1
-    };
-    train_members_with_workers(xs, jobs, config, workers)
-}
-
-/// [`train_members`] with an explicit worker count, so tests can force the
-/// banded scoped-thread path (and its panic handling) on any machine.
-fn train_members_with_workers(
-    xs: &[Vec<f64>],
-    jobs: &[MemberJob<'_>],
-    config: &EnsembleConfig,
-    workers: usize,
+    bands: usize,
 ) -> Vec<Result<NeuralGp, String>> {
     let fit_job = |job: &MemberJob<'_>| {
-        let mut member_rng = StdRng::seed_from_u64(job.seed);
-        NeuralGp::fit_warm(xs, job.ys, &config.member_config, &mut member_rng, job.prev)
-    };
-    if workers <= 1 {
-        return jobs.iter().map(fit_job).collect();
-    }
-    let band = jobs.len().div_ceil(workers);
-    let mut slots: Vec<Vec<Result<NeuralGp, String>>> = Vec::new();
-    slots.resize_with(jobs.len().div_ceil(band), Vec::new);
-    let fit_job = &fit_job;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = jobs
-        .chunks(band)
-        .zip(slots.iter_mut())
-        .map(|(band_jobs, slot)| {
-            Box::new(move || {
-                // A panicking member must not poison the whole batch: the
-                // payload is caught per band and surfaced as that band's
-                // training errors, naming the actual assertion so a CI
-                // failure is actionable instead of a generic placeholder.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    band_jobs.iter().map(fit_job).collect::<Vec<_>>()
-                }));
-                *slot = caught.unwrap_or_else(|payload| {
-                    let reason = panic_message(payload.as_ref());
-                    band_jobs
-                        .iter()
-                        .map(|_| Err(format!("member thread panicked: {reason}")))
-                        .collect()
-                });
-            }) as Box<dyn FnOnce() + Send + '_>
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut member_rng = StdRng::seed_from_u64(job.seed);
+            NeuralGp::fit_warm(xs, job.ys, &config.member_config, &mut member_rng, job.prev)
+        }))
+        .unwrap_or_else(|payload| {
+            let reason = panic_message(payload.as_ref());
+            Err(format!("member thread panicked: {reason}"))
         })
-        .collect();
-    nnbo_pool::WorkerPool::global().run_batch(tasks);
-    slots.into_iter().flatten().collect()
+    };
+    nnbo_pool::WorkerPool::global().map_bands(jobs, bands, fit_job)
 }
 
 /// Best-effort extraction of a thread panic payload's message (`panic!` with a
@@ -306,8 +266,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Batch size from which scoring the members on separate scoped threads pays
-/// for the spawn/join overhead.
+/// Batch size from which scoring the members as separate pool bands pays
+/// for the batch overhead.
 const PARALLEL_PREDICT_MIN_BATCH: usize = 256;
 
 impl SurrogateModel for NeuralGpEnsemble {
@@ -343,32 +303,21 @@ impl SurrogateModel for NeuralGpEnsemble {
     }
 
     /// Batched moment matching (eq. 13): every member scores the whole batch
-    /// through its own vectorised path, and large batches fan the members out
-    /// over scoped threads.  Combination runs in member order regardless of
+    /// through its own vectorised path, and large batches run one member per
+    /// worker-pool band.  Combination runs in member order regardless of
     /// thread scheduling, so the result is deterministic and identical to the
     /// per-point path.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
         if xs.is_empty() {
             return Vec::new();
         }
-        let member_preds: Vec<Vec<Prediction>> = if self.members.len() > 1
-            && xs.len() >= PARALLEL_PREDICT_MIN_BATCH
-        {
-            let mut slots: Vec<Vec<Prediction>> = Vec::new();
-            slots.resize_with(self.members.len(), Vec::new);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                .members
-                .iter()
-                .zip(slots.iter_mut())
-                .map(|(m, slot)| {
-                    Box::new(move || *slot = m.predict_batch(xs)) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            nnbo_pool::WorkerPool::global().run_batch(tasks);
-            slots
+        let bands = if xs.len() >= PARALLEL_PREDICT_MIN_BATCH {
+            self.members.len()
         } else {
-            self.members.iter().map(|m| m.predict_batch(xs)).collect()
+            1
         };
+        let member_preds = nnbo_pool::WorkerPool::global()
+            .map_bands(&self.members, bands, |m| m.predict_batch(xs));
 
         let k = self.members.len() as f64;
         let mut out = Vec::with_capacity(xs.len());
@@ -416,7 +365,7 @@ impl SurrogateTrainer for NeuralGpEnsembleTrainer {
         NeuralGpEnsemble::fit(xs, ys, &self.config, rng)
     }
 
-    /// Multi-output training with one flat scoped-thread fan-out: the member
+    /// Multi-output training with one flat worker-pool fan-out: the member
     /// seeds of every output are drawn from `rng` up front (in the same order
     /// as sequential [`NeuralGpEnsemble::fit`] calls, so the rng stream and —
     /// without previous models — every trained member are bit-identical to
@@ -456,7 +405,8 @@ impl SurrogateTrainer for NeuralGpEnsembleTrainer {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let mut results = train_members(xs, &jobs, &self.config).into_iter();
+        let bands = nnbo_pool::WorkerPool::global().max_bands();
+        let mut results = train_members(xs, &jobs, &self.config, bands).into_iter();
         targets
             .iter()
             .map(|_| {
@@ -484,6 +434,35 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0]).sin() + x[0]).collect();
         (xs, ys)
+    }
+
+    /// [`NeuralGpEnsemble::fit_warm`] with the member fan-out forced onto
+    /// exactly `bands` bands: draws the member seeds from `rng` in the same
+    /// order, so the models and the rng stream match the public path.
+    fn fit_in_bands(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        config: &EnsembleConfig,
+        rng: &mut StdRng,
+        prev: Option<&NeuralGpEnsemble>,
+        bands: usize,
+    ) -> NeuralGpEnsemble {
+        let jobs: Vec<MemberJob<'_>> = (0..config.members)
+            .map(|k| MemberJob {
+                ys,
+                seed: rng.gen(),
+                prev: prev.and_then(|e| e.members().get(k)),
+            })
+            .collect();
+        NeuralGpEnsemble::from_member_results(train_members(xs, &jobs, config, bands)).unwrap()
+    }
+
+    /// Asserts two ensembles predict the same bits at `q`.
+    fn assert_same_bits(a: &NeuralGpEnsemble, b: &NeuralGpEnsemble, q: &[f64]) {
+        assert_eq!(a.len(), b.len());
+        let (pa, pb) = (a.predict(q), b.predict(q));
+        assert_eq!(pa.mean.to_bits(), pb.mean.to_bits());
+        assert_eq!(pa.variance.to_bits(), pb.variance.to_bits());
     }
 
     #[test]
@@ -524,21 +503,15 @@ mod tests {
     #[test]
     fn parallel_and_sequential_training_agree() {
         let (xs, ys) = toy_data(16);
-        let config_seq = EnsembleConfig {
-            parallel: false,
-            ..EnsembleConfig::fast()
-        };
-        let config_par = EnsembleConfig {
-            parallel: true,
-            ..EnsembleConfig::fast()
-        };
-        let mut rng1 = StdRng::seed_from_u64(5);
-        let mut rng2 = StdRng::seed_from_u64(5);
-        let a = NeuralGpEnsemble::fit(&xs, &ys, &config_seq, &mut rng1).unwrap();
-        let b = NeuralGpEnsemble::fit(&xs, &ys, &config_par, &mut rng2).unwrap();
-        let x = [0.61];
-        assert!((a.predict(&x).mean - b.predict(&x).mean).abs() < 1e-12);
-        assert!((a.predict(&x).variance - b.predict(&x).variance).abs() < 1e-12);
+        let config = EnsembleConfig::fast();
+        let sequential = fit_in_bands(&xs, &ys, &config, &mut StdRng::seed_from_u64(5), None, 1);
+        let default = NeuralGpEnsemble::fit(&xs, &ys, &config, &mut StdRng::seed_from_u64(5));
+        assert_same_bits(&sequential, &default.unwrap(), &[0.61]);
+        for bands in [2, 3] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let banded = fit_in_bands(&xs, &ys, &config, &mut rng, None, bands);
+            assert_same_bits(&sequential, &banded, &[0.61]);
+        }
     }
 
     #[test]
@@ -547,28 +520,28 @@ mod tests {
         let (xs, ys_a) = toy_data(16);
         let ys_b: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
         let targets = vec![ys_a, ys_b];
-        for parallel in [false, true] {
-            let trainer = NeuralGpEnsembleTrainer::new(EnsembleConfig {
-                parallel,
-                ..EnsembleConfig::fast()
-            });
-            let mut rng_many = StdRng::seed_from_u64(9);
-            let many = trainer
-                .fit_many(&xs, &targets, None, &mut rng_many)
-                .unwrap();
-            let mut rng_seq = StdRng::seed_from_u64(9);
-            let sequential: Vec<_> = targets
-                .iter()
-                .map(|ys| trainer.fit(&xs, ys, &mut rng_seq).unwrap())
-                .collect();
-            // Same models *and* the same rng stream afterwards.
-            assert_eq!(rng_many.gen::<u64>(), rng_seq.gen::<u64>());
-            let q = [0.47];
-            for (a, b) in many.iter().zip(sequential.iter()) {
-                assert_eq!(a.len(), b.len());
-                assert_eq!(a.predict(&q).mean, b.predict(&q).mean);
-                assert_eq!(a.predict(&q).variance, b.predict(&q).variance);
-            }
+        let trainer = NeuralGpEnsembleTrainer::new(EnsembleConfig::fast());
+        let mut rng_many = StdRng::seed_from_u64(9);
+        let many = trainer
+            .fit_many(&xs, &targets, None, &mut rng_many)
+            .unwrap();
+        let mut rng_seq = StdRng::seed_from_u64(9);
+        let sequential: Vec<_> = targets
+            .iter()
+            .map(|ys| trainer.fit(&xs, ys, &mut rng_seq).unwrap())
+            .collect();
+        let mut rng_one = StdRng::seed_from_u64(9);
+        let one_band: Vec<_> = targets
+            .iter()
+            .map(|ys| fit_in_bands(&xs, ys, &trainer.config, &mut rng_one, None, 1))
+            .collect();
+        // Same models *and* the same rng stream afterwards.
+        let next = rng_many.gen::<u64>();
+        assert_eq!(next, rng_seq.gen::<u64>());
+        assert_eq!(next, rng_one.gen::<u64>());
+        for ((a, b), c) in many.iter().zip(&sequential).zip(&one_band) {
+            assert_same_bits(a, b, &[0.47]);
+            assert_same_bits(a, c, &[0.47]);
         }
     }
 
@@ -579,10 +552,7 @@ mod tests {
         use nnbo_nn::{Activation, Mlp, MlpConfig};
 
         let (xs, ys) = toy_data(18);
-        let config = EnsembleConfig {
-            parallel: false,
-            ..EnsembleConfig::fast()
-        };
+        let config = EnsembleConfig::fast();
         let mut rng = StdRng::seed_from_u64(31);
         let prev = NeuralGpEnsemble::fit(&xs, &ys, &config, &mut rng).unwrap();
 
@@ -626,58 +596,58 @@ mod tests {
         let (xs, ys_a) = toy_data(16);
         let ys_b: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
         let targets = vec![ys_a, ys_b];
-        for parallel in [false, true] {
-            let config = EnsembleConfig {
-                parallel,
-                ..EnsembleConfig::fast()
-            };
-            let trainer = NeuralGpEnsembleTrainer::new(config.clone());
-            let mut prev_rng = StdRng::seed_from_u64(3);
-            let prev: Vec<NeuralGpEnsemble> = targets
-                .iter()
-                .map(|ys| NeuralGpEnsemble::fit(&xs, ys, &config, &mut prev_rng).unwrap())
-                .collect();
-            let prev_refs: Vec<&NeuralGpEnsemble> = prev.iter().collect();
+        let config = EnsembleConfig::fast();
+        let trainer = NeuralGpEnsembleTrainer::new(config.clone());
+        let mut prev_rng = StdRng::seed_from_u64(3);
+        let prev: Vec<NeuralGpEnsemble> = targets
+            .iter()
+            .map(|ys| NeuralGpEnsemble::fit(&xs, ys, &config, &mut prev_rng).unwrap())
+            .collect();
+        let prev_refs: Vec<&NeuralGpEnsemble> = prev.iter().collect();
 
-            let mut rng_many = StdRng::seed_from_u64(4);
-            let many = trainer
-                .fit_many(&xs, &targets, Some(&prev_refs), &mut rng_many)
-                .unwrap();
-            let mut rng_seq = StdRng::seed_from_u64(4);
-            let sequential: Vec<_> = targets
-                .iter()
-                .zip(prev.iter())
-                .map(|(ys, p)| {
-                    NeuralGpEnsemble::fit_warm(&xs, ys, &config, &mut rng_seq, Some(p)).unwrap()
-                })
-                .collect();
-            // Same models *and* the same rng stream afterwards.
-            assert_eq!(rng_many.gen::<u64>(), rng_seq.gen::<u64>());
-            let q = [0.47];
-            for (a, b) in many.iter().zip(sequential.iter()) {
-                assert_eq!(a.len(), b.len());
-                assert_eq!(a.predict(&q).mean, b.predict(&q).mean);
-                assert_eq!(a.predict(&q).variance, b.predict(&q).variance);
-            }
+        let mut rng_many = StdRng::seed_from_u64(4);
+        let many = trainer
+            .fit_many(&xs, &targets, Some(&prev_refs), &mut rng_many)
+            .unwrap();
+        let mut rng_seq = StdRng::seed_from_u64(4);
+        let sequential: Vec<_> = targets
+            .iter()
+            .zip(prev.iter())
+            .map(|(ys, p)| {
+                NeuralGpEnsemble::fit_warm(&xs, ys, &config, &mut rng_seq, Some(p)).unwrap()
+            })
+            .collect();
+        let mut rng_one = StdRng::seed_from_u64(4);
+        let one_band: Vec<_> = targets
+            .iter()
+            .zip(prev.iter())
+            .map(|(ys, p)| fit_in_bands(&xs, ys, &config, &mut rng_one, Some(p), 1))
+            .collect();
+        // Same models *and* the same rng stream afterwards.
+        let next = rng_many.gen::<u64>();
+        assert_eq!(next, rng_seq.gen::<u64>());
+        assert_eq!(next, rng_one.gen::<u64>());
+        for ((a, b), c) in many.iter().zip(&sequential).zip(&one_band) {
+            assert_same_bits(a, b, &[0.47]);
+            assert_same_bits(a, c, &[0.47]);
         }
     }
 
     #[test]
     fn member_thread_panics_propagate_their_message() {
-        // feature_dim = 0 makes MlpConfig::new panic inside the member
-        // threads; the banded fan-out must surface that assertion text, not a
-        // generic placeholder.  The worker count is forced so the threaded
-        // path runs even on a single-core machine.
+        // feature_dim = 0 makes MlpConfig::new panic inside every member;
+        // the fan-out must surface that assertion text, not a generic
+        // placeholder, and catch each member on its own so one band, several
+        // bands and one band per member all report the same errors.
         let (xs, ys) = toy_data(10);
         let config = EnsembleConfig {
-            members: 2,
+            members: 3,
             member_config: NeuralGpConfig {
                 feature_dim: 0,
                 ..NeuralGpConfig::fast()
             },
-            parallel: true,
         };
-        let jobs: Vec<MemberJob<'_>> = [1u64, 2]
+        let jobs: Vec<MemberJob<'_>> = [1u64, 2, 3]
             .iter()
             .map(|&seed| MemberJob {
                 ys: &ys,
@@ -685,12 +655,21 @@ mod tests {
                 prev: None,
             })
             .collect();
-        let results = train_members_with_workers(&xs, &jobs, &config, 2);
-        assert_eq!(results.len(), 2);
-        for r in results {
-            let err = r.unwrap_err();
+        let reference = train_members(&xs, &jobs, &config, 1)
+            .into_iter()
+            .map(Result::unwrap_err)
+            .collect::<Vec<_>>();
+        assert_eq!(reference.len(), 3);
+        for err in &reference {
             assert!(err.contains("member thread panicked"), "{err}");
             assert!(err.contains("output dimension must be positive"), "{err}");
+        }
+        for bands in [2, 3] {
+            let errs: Vec<_> = train_members(&xs, &jobs, &config, bands)
+                .into_iter()
+                .map(Result::unwrap_err)
+                .collect();
+            assert_eq!(errs, reference, "bands = {bands}");
         }
     }
 
@@ -700,7 +679,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let config = EnsembleConfig {
             members: 1,
-            parallel: false,
             ..EnsembleConfig::fast()
         };
         let healthy = NeuralGpEnsemble::fit(&xs, &ys, &config, &mut rng).unwrap();
@@ -744,7 +722,6 @@ mod tests {
         let (xs, ys) = toy_data(14);
         let config = EnsembleConfig {
             members: 1,
-            parallel: false,
             ..EnsembleConfig::fast()
         };
         let mut rng = StdRng::seed_from_u64(7);

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::surrogate::{Prediction, SurrogateModel, SurrogateTrainer};
+use crate::surrogate::{Prediction, SurrogateModel};
 
 /// Configuration of a [`NeuralGp`] surrogate.
 ///
@@ -492,38 +492,6 @@ impl SurrogateModel for NeuralGp {
                 )
             })
             .collect()
-    }
-}
-
-/// Trainer for a single [`NeuralGp`] (implements [`SurrogateTrainer`]).
-#[derive(Debug, Clone, Default)]
-pub struct NeuralGpTrainer {
-    /// Configuration used for every fit.
-    pub config: NeuralGpConfig,
-}
-
-impl NeuralGpTrainer {
-    /// Creates a trainer with the given configuration.
-    pub fn new(config: NeuralGpConfig) -> Self {
-        NeuralGpTrainer { config }
-    }
-}
-
-impl SurrogateTrainer for NeuralGpTrainer {
-    type Model = NeuralGp;
-
-    fn fit(&self, xs: &[Vec<f64>], ys: &[f64], rng: &mut StdRng) -> Result<NeuralGp, String> {
-        NeuralGp::fit(xs, ys, &self.config, rng)
-    }
-
-    fn update(
-        &self,
-        prev: &NeuralGp,
-        x: &[f64],
-        y: f64,
-        _rng: &mut StdRng,
-    ) -> Option<Result<NeuralGp, String>> {
-        Some(prev.append_observation(x, y))
     }
 }
 

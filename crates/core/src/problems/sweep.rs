@@ -54,9 +54,10 @@ type SpecFn<O> = Arc<dyn Fn(&O) -> Evaluation + Send + Sync>;
 /// instead maximises the per-corner objective, which is the generic
 /// worst-case-over-scenarios formulation.
 ///
-/// Corner fan-out runs on [`nnbo_pool::WorkerPool::global`] (the submitting
-/// thread participates) unless [`SweepProblem::with_parallel`] disables it;
-/// the sequential path is the bit-identity reference.
+/// Corner fan-out runs on [`nnbo_pool::WorkerPool::global`], one band per
+/// (point, corner) measurement (the submitting thread participates).
+/// [`SweepProblem::with_parallel`]`(false)` runs the same code as one band,
+/// the bit-identity reference.
 pub struct SweepProblem<T: Testbench> {
     sweep: CornerSweep<T>,
     spec: SpecFn<T::Output>,
@@ -110,9 +111,10 @@ impl<T: Testbench> SweepProblem<T> {
         self
     }
 
-    /// Enables or disables the worker-pool corner fan-out.  The sequential
-    /// path (`false`) is the bit-identity reference the parallel path is
-    /// pinned against.
+    /// Enables or disables the worker-pool corner fan-out: `true` runs one
+    /// band per (point, corner) measurement, `false` runs the same jobs as a
+    /// single band on the calling thread — the bit-identity reference the
+    /// parallel fan-out is pinned against.
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -188,23 +190,10 @@ impl<T: Testbench> SweepProblem<T> {
         }
     }
 
-    /// Measures the requested corners of one *physical* design point, in
-    /// slot order matching `corner_indices`.  Sequential reference path.
-    fn measure_sequential(
-        &self,
-        x_phys: &[f64],
-        corner_indices: &[usize],
-    ) -> Vec<Result<T::Output, String>> {
-        corner_indices
-            .iter()
-            .map(|&k| self.sweep.run_corner(x_phys, k))
-            .collect()
-    }
-
     /// Turns the ordered per-corner results of one suggestion into its
     /// outcome: the first failing corner fails the whole evaluation (in
-    /// corner order, so parallel and sequential paths report the same
-    /// corner), otherwise the spec + aggregation produce the evaluation.
+    /// corner order, so every band count reports the same corner),
+    /// otherwise the spec + aggregation produce the evaluation.
     fn outcome_from_results(&self, results: Vec<Result<T::Output, String>>) -> EvalOutcome {
         let mut outputs = Vec::with_capacity(results.len());
         for result in results {
@@ -303,7 +292,7 @@ impl<T: Testbench> Problem for SweepProblem<T> {
     }
 
     /// Evaluates a batch of suggestions as `suggestions × corners`
-    /// independent measurements in **one** worker-pool batch, gathered
+    /// independent measurements in **one** worker-pool fan-out, gathered
     /// back in input-then-corner order — bit-identical to the sequential
     /// double loop.
     fn try_evaluate_batch(&self, xs: &[&[f64]]) -> Vec<EvalOutcome> {
@@ -314,44 +303,19 @@ impl<T: Testbench> Problem for SweepProblem<T> {
             .map(|x| self.sweep.bench().denormalize(x))
             .collect();
 
-        let mut slots: Vec<Option<Result<T::Output, String>>> = Vec::new();
-        if self.parallel && points.len() * per_point > 1 {
-            slots.resize_with(points.len() * per_point, || None);
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                Vec::with_capacity(points.len() * per_point);
-            for (slot, job) in slots.iter_mut().zip(
-                points
-                    .iter()
-                    .flat_map(|p| corner_indices.iter().map(move |&k| (p, k))),
-            ) {
-                let (point, k) = job;
-                let sweep = &self.sweep;
-                tasks.push(Box::new(move || {
-                    *slot = Some(sweep.run_corner(point, k));
-                }));
-            }
-            nnbo_pool::WorkerPool::global().run_batch(tasks);
-        } else {
-            for point in &points {
-                slots.extend(
-                    self.measure_sequential(point, &corner_indices)
-                        .into_iter()
-                        .map(Some),
-                );
-            }
-        }
-
-        let mut outcomes = Vec::with_capacity(points.len());
-        let mut slots = slots.into_iter();
-        for _ in 0..points.len() {
-            let results: Vec<Result<T::Output, String>> = slots
-                .by_ref()
-                .take(per_point)
-                .map(|slot| slot.expect("every corner task ran"))
-                .collect();
-            outcomes.push(self.outcome_from_results(results));
-        }
-        outcomes
+        let jobs: Vec<(&[f64], usize)> = points
+            .iter()
+            .flat_map(|p| corner_indices.iter().map(move |&k| (p.as_slice(), k)))
+            .collect();
+        let bands = if self.parallel { jobs.len() } else { 1 };
+        let sweep = &self.sweep;
+        let results = nnbo_pool::WorkerPool::global()
+            .map_bands(&jobs, bands, |&(point, k)| sweep.run_corner(point, k));
+        let mut results = results.into_iter();
+        points
+            .iter()
+            .map(|_| self.outcome_from_results(results.by_ref().take(per_point).collect()))
+            .collect()
     }
 
     fn name(&self) -> &str {

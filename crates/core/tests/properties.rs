@@ -464,7 +464,6 @@ proptest! {
     fn ensemble_warm_fit_is_deterministic_and_never_non_finite(seed in 0..200u64) {
         let config = EnsembleConfig {
             members: 2,
-            parallel: false,
             member_config: NeuralGpConfig {
                 hidden_dims: vec![6],
                 feature_dim: 4,

@@ -133,9 +133,8 @@ impl Cholesky {
                 } else {
                     let threads =
                         crate::parallel::plan_threads(trailing, trailing * trailing * width);
-                    crate::parallel::for_each_row_band(
+                    nnbo_pool::WorkerPool::global().for_each_band(
                         tail,
-                        trailing,
                         cols,
                         threads,
                         |first, band| {
@@ -524,9 +523,9 @@ impl Cholesky {
     }
 
     /// Runs one triangular sweep over all columns of `y` in place, fanning
-    /// wide right-hand sides out over contiguous column blocks as a scoped
-    /// batch on the shared worker pool.  Each block is gathered into a dense thread-local buffer,
-    /// swept, and scattered back; since every column's arithmetic is
+    /// wide right-hand sides out over contiguous column blocks, one
+    /// worker-pool band each.  Each block is gathered into a dense local
+    /// buffer, swept, and scattered back; since every column's arithmetic is
     /// independent of the others, the result is bit-identical to the
     /// sequential sweep.
     fn sweep_matrix_in_place(&self, y: &mut Matrix, sweep: Sweep) {
@@ -560,16 +559,12 @@ impl Cholesky {
             locals.push((c0, local));
             c0 += bc;
         }
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = locals
-            .iter_mut()
-            .map(|(_, local)| {
+        nnbo_pool::WorkerPool::global().for_each_band(&mut locals, 1, blocks, |_, band| {
+            for (_, local) in band {
                 let cols = local.ncols();
-                let data = local.as_mut_slice();
-                Box::new(move || self.sweep_in_place(data, cols, sweep))
-                    as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        nnbo_pool::WorkerPool::global().run_batch(tasks);
+                self.sweep_in_place(local.as_mut_slice(), cols, sweep);
+            }
+        });
         for (c0, local) in &locals {
             for i in 0..n {
                 y.row_mut(i)[*c0..*c0 + local.ncols()].copy_from_slice(local.row(i));

@@ -27,7 +27,8 @@
 //!   operations, so results are identical no matter how many threads run.
 
 use crate::packed::Op;
-use crate::parallel::{for_each_row_band, plan_threads};
+use crate::parallel::plan_threads;
+use nnbo_pool::WorkerPool;
 
 /// `k`-dimension tile size for the general product (8 KiB of one operand row).
 const KC: usize = 64;
@@ -141,7 +142,7 @@ pub(crate) fn matmul_blocked(a: &[f64], m: usize, k: usize, b: &[f64], n: usize,
         return;
     }
     let threads = plan_threads(m, 2 * m * k * n);
-    for_each_row_band(out, m, n, threads, |first_row, band| {
+    WorkerPool::global().for_each_band(out, n, threads, |first_row, band| {
         let rows = band.len() / n;
         matmul_band(a, first_row, rows, k, b, n, band);
     });
@@ -236,7 +237,7 @@ pub(crate) fn matmul_transpose_blocked(
         return;
     }
     let threads = plan_threads(m, 2 * m * k * p);
-    for_each_row_band(out, m, p, threads, |first_row, band| {
+    WorkerPool::global().for_each_band(out, p, threads, |first_row, band| {
         let rows = band.len() / p;
         for jb in (0..p).step_by(JB) {
             let jend = (jb + JB).min(p);
@@ -323,7 +324,7 @@ pub(crate) fn transpose_matmul_blocked(
         return;
     }
     let threads = plan_threads(ca, 2 * r * ca * cb);
-    for_each_row_band(out, ca, cb, threads, |first_col, band| {
+    WorkerPool::global().for_each_band(out, cb, threads, |first_col, band| {
         let cols = band.len() / cb;
         let mut kk = 0;
         while kk + 4 <= r {

@@ -304,7 +304,7 @@ impl Matrix {
     /// Matrix product `self * other`.
     ///
     /// Computed by an internal cache-blocked kernel; large shapes
-    /// run on scoped threads.  See [`Matrix::matmul_naive`] for the reference
+    /// run as worker-pool bands.  See [`Matrix::matmul_naive`] for the reference
     /// implementation.
     ///
     /// # Panics
@@ -373,7 +373,7 @@ impl Matrix {
     /// Product `self * otherᵀ` without materialising the transpose.
     ///
     /// Computed by an internal tiled multi-accumulator kernel;
-    /// large shapes run on scoped threads.
+    /// large shapes run as worker-pool bands.
     ///
     /// # Panics
     ///
@@ -433,7 +433,7 @@ impl Matrix {
     /// Product `selfᵀ * other` without materialising the transpose.
     ///
     /// Computed by an internal k-unrolled kernel; large shapes
-    /// run on scoped threads.
+    /// run as worker-pool bands.
     ///
     /// # Panics
     ///

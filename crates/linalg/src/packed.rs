@@ -27,7 +27,8 @@
 //! differ from the scalar path in rounding only (different summation order),
 //! which the property tests bound against the naive reference kernels.
 
-use crate::parallel::{for_each_row_band, plan_threads};
+use crate::parallel::plan_threads;
+use nnbo_pool::WorkerPool;
 
 /// Rows per A panel / micro-tile.
 pub(crate) const MR: usize = 4;
@@ -195,7 +196,7 @@ pub(crate) fn gemm(a: Op, b: Op, m: usize, k: usize, n: usize, out: &mut [f64]) 
     }
     let packed_b = PackedB::new(&b, n, k);
     let threads = plan_threads(m, 2 * m * k * n);
-    for_each_row_band(out, m, n, threads, |first_row, band| {
+    WorkerPool::global().for_each_band(out, n, threads, |first_row, band| {
         gemm_band(&a, &packed_b, first_row, band.len() / n, n, band);
     });
 }
@@ -246,50 +247,18 @@ pub(crate) fn syrk_lower(
         return;
     }
     let packed_b = PackedB::new(&p, t, k);
+    debug_assert_eq!(out.len(), t * stride);
     let threads = plan_threads(t, t * t * k);
-    // Bands are split at panel boundaries so every `MR`-row micro-tile stays
-    // on one thread.
-    let panels = t.div_ceil(MR);
-    let band_panels = panels.div_ceil(threads.max(1));
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-    let mut rest = out;
-    let mut row0 = 0;
-    let mut consumed = 0;
-    let mut p0 = 0;
-    while p0 < panels {
-        let pend = (p0 + band_panels).min(panels);
-        let rows_end = (pend * MR).min(t);
-        let take = rows_end * stride - consumed;
-        let (band, tail) = rest.split_at_mut(take);
-        rest = tail;
-        consumed += take;
-        let first_row = row0;
-        let packed_b = &packed_b;
-        let p = &p;
-        let mut work = move || {
-            syrk_band(
-                p,
-                packed_b,
-                first_row,
-                rows_end - first_row,
-                t,
-                band,
-                stride,
-                col0,
-                subtract,
-            );
-        };
-        if threads > 1 {
-            tasks.push(Box::new(work));
-        } else {
-            work();
-        }
-        row0 = rows_end;
-        p0 = pend;
-    }
-    if !tasks.is_empty() {
-        nnbo_pool::WorkerPool::global().run_batch(tasks);
-    }
+    // Bands are split at panel boundaries (one "row" of the split is an
+    // `MR`-row panel, the last one possibly short) so every micro-tile
+    // stays on one thread.
+    WorkerPool::global().for_each_band(out, MR * stride, threads, |first_panel, band| {
+        let first_row = first_panel * MR;
+        let rows = band.len() / stride;
+        syrk_band(
+            &p, &packed_b, first_row, rows, t, band, stride, col0, subtract,
+        );
+    });
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -13,10 +13,15 @@
 //! Work enters through a shared injector deque and is executed by
 //! [`WorkerPool::workers`] long-lived worker threads, in two shapes:
 //!
-//! * **Scoped batches** ([`WorkerPool::run_batch`]): a set of independent
-//!   tasks borrowing the caller's stack frame (disjoint `&mut` bands of an
-//!   output buffer, a slice of training jobs).  The call returns only after
-//!   every task ran.  Tasks are claimed one at a time from the batch by
+//! * **Scoped batches**, entered through two primitives:
+//!   [`WorkerPool::map_bands`] (an ordered `jobs.iter().map(f)` over
+//!   contiguous bands of a job slice) and [`WorkerPool::for_each_band`]
+//!   (`f(first_row, band)` over disjoint `&mut` row bands of a buffer).
+//!   Every parallel site in the workspace goes through one of them, with its
+//!   own band count; one band runs inline through the same closure, so no
+//!   site keeps a separate sequential body.  Several bands become one batch
+//!   of tasks borrowing the caller's stack frame, and the call returns only
+//!   after every task ran.  Tasks are claimed one at a time from the batch by
 //!   whichever participant is free — the submitting thread itself works the
 //!   batch alongside the pool, stealing tasks back from its own submission,
 //!   so a batch always completes even when every worker is busy with other
@@ -44,7 +49,7 @@
 //!
 //! Poisoned internal locks are recovered, never propagated: a thread dying
 //! while holding the injector, a batch queue, or the handle table cannot
-//! cascade into panicking every later `run_batch`/`spawn` caller.  Each
+//! cascade into panicking every later batch or `spawn` caller.  Each
 //! recovery is counted in [`PoolStats::lock_poisonings`].
 //!
 //! ## The global pool
@@ -69,8 +74,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// memory-bound; the cap matches the old per-call `thread::scope` limit).
 const MAX_GLOBAL_WORKERS: usize = 8;
 
+/// Upper bound on [`WorkerPool::max_bands`].
+const MAX_BANDS: usize = 8;
+
 /// A task inside a scoped batch.  The `'static` is a lie told once, in
-/// [`WorkerPool::run_batch`], and made true by the batch latch: the
+/// `WorkerPool::run_batch`, and made true by the batch latch: the
 /// submitting call does not return (or unwind) until every task finished,
 /// so the borrows the closures capture outlive every execution.
 type BatchTask = Box<dyn FnOnce() + Send + 'static>;
@@ -315,16 +323,77 @@ impl WorkerPool {
         self.inner.workers + 1
     }
 
+    /// Upper bound on the bands a library fan-out splits its work into: the
+    /// participants, capped at 8 (beyond this the numeric kernels are
+    /// memory-bound).
+    pub fn max_bands(&self) -> usize {
+        self.participants().min(MAX_BANDS)
+    }
+
     /// Snapshot of the pool's activity counters.
     pub fn stats(&self) -> PoolStats {
         self.inner.counters.snapshot()
+    }
+
+    /// `jobs.iter().map(f).collect()`, computed over at most `bands`
+    /// contiguous bands of `jobs` (see [`WorkerPool::for_each_band`] for the
+    /// split).  Results come back in job order whatever thread ran them.
+    pub fn map_bands<T, R, F>(&self, jobs: &[T], bands: usize, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(jobs.len(), || None);
+        self.for_each_band(&mut slots, 1, bands, |first, band| {
+            for (slot, job) in band.iter_mut().zip(&jobs[first..]) {
+                *slot = Some(f(job));
+            }
+        });
+        slots
+            .into_iter()
+            .map(|r| r.expect("every band ran"))
+            .collect()
+    }
+
+    /// Runs `f(first_row, band)` over at most `bands` contiguous bands of
+    /// `data`, read as rows of `row_len` elements (the last row may be
+    /// short).  With `r` rows and `b = min(bands, r)`, every band but the
+    /// last holds `ceil(r / b)` rows; `first_row` is the index of the band's
+    /// first row.
+    ///
+    /// One band runs inline on the calling thread; more run as one scoped
+    /// batch (see the crate docs), which returns once every band finished
+    /// and then re-throws the first band's panic, if any.
+    pub fn for_each_band<T, F>(&self, data: &mut [T], row_len: usize, bands: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        assert!(row_len > 0, "rows must hold at least one element");
+        if bands <= 1 || data.len() <= row_len {
+            f(0, data);
+            return;
+        }
+        let rows = data.len().div_ceil(row_len);
+        let band_rows = rows.div_ceil(bands.min(rows));
+        let f = &f;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = data
+            .chunks_mut(band_rows * row_len)
+            .enumerate()
+            .map(|(i, band)| {
+                Box::new(move || f(i * band_rows, band)) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        self.run_batch(tasks);
     }
 
     /// Runs every task to completion, sharing them between the pool's
     /// workers and the calling thread.  Tasks may borrow from the caller's
     /// stack (`'env`); the call only returns once all of them finished, and
     /// the first task panic is re-thrown here.
-    pub fn run_batch<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+    fn run_batch<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.is_empty() {
             return;
         }
@@ -572,20 +641,12 @@ mod tests {
     fn batch_runs_every_task_exactly_once_and_supports_borrows() {
         let pool = WorkerPool::new(3);
         let mut data = vec![0usize; 64];
-        {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = data
-                .chunks_mut(7)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    Box::new(move || {
-                        for v in chunk.iter_mut() {
-                            *v += i + 1;
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_batch(tasks);
-        }
+        // 64 elements in rows of 7: ten rows, the last one a single element.
+        pool.for_each_band(&mut data, 7, 10, |first_row, band| {
+            for v in band.iter_mut() {
+                *v += first_row + 1;
+            }
+        });
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i / 7 + 1, "element {i}");
         }
@@ -593,35 +654,93 @@ mod tests {
     }
 
     #[test]
+    fn bands_cover_every_row_exactly_once() {
+        let pool = WorkerPool::new(2);
+        let (rows, cols) = (13, 3);
+        let mut data = vec![0.0; rows * cols];
+        pool.for_each_band(&mut data, cols, 4, |first_row, band| {
+            for (r, row) in band.chunks_exact_mut(cols).enumerate() {
+                for v in row.iter_mut() {
+                    *v += (first_row + r) as f64 + 1.0;
+                }
+            }
+        });
+        for (i, chunk) in data.chunks_exact(cols).enumerate() {
+            assert!(chunk.iter().all(|&v| v == i as f64 + 1.0), "row {i}");
+        }
+        // 13 rows over 4 bands: bands of 4, 4, 4 and 1 rows.
+        assert_eq!(pool.stats().batch_tasks_executed, 4);
+    }
+
+    #[test]
+    fn sequential_fallback_matches() {
+        let pool = WorkerPool::new(2);
+        let body = |first_row: usize, band: &mut [f64]| {
+            for (r, row) in band.chunks_exact_mut(3).enumerate() {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v += ((first_row + r) * 3 + c) as f64;
+                }
+            }
+        };
+        let mut a = vec![1.0; 12];
+        let mut b = vec![1.0; 12];
+        pool.for_each_band(&mut a, 3, 1, body);
+        assert_eq!(pool.stats().batch_tasks_executed, 0, "one band runs inline");
+        pool.for_each_band(&mut b, 3, 3, body);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn short_last_row_is_handed_to_the_last_band() {
+        let pool = WorkerPool::new(2);
+        // Rows of 4 over 10 elements: rows 0 and 1 are full, row 2 holds 2.
+        let mut data = vec![0usize; 10];
+        let seen = Mutex::new(Vec::new());
+        pool.for_each_band(&mut data, 4, 8, |first_row, band| {
+            seen.lock().unwrap().push((first_row, band.len()));
+            band.fill(first_row + 1);
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(0, 4), (1, 4), (2, 2)]);
+        assert_eq!(data, vec![1, 1, 1, 1, 2, 2, 2, 2, 3, 3]);
+    }
+
+    #[test]
+    fn map_bands_keeps_job_order_for_every_band_count() {
+        let pool = WorkerPool::new(2);
+        let jobs: Vec<u64> = (0..11).collect();
+        let expected: Vec<u64> = jobs.iter().map(|j| j * j + 1).collect();
+        for bands in [0, 1, 2, 3, 4, 11, 12, 100] {
+            assert_eq!(
+                pool.map_bands(&jobs, bands, |j| j * j + 1),
+                expected,
+                "bands = {bands}"
+            );
+        }
+        assert!(pool.map_bands(&[] as &[u64], 4, |j| *j).is_empty());
+    }
+
+    #[test]
     fn zero_worker_pool_runs_batches_on_the_caller() {
         let pool = WorkerPool::new(0);
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..5)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_batch(tasks);
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
+        let caller = std::thread::current().id();
+        let threads = pool.map_bands(&[(); 5], 5, |_| std::thread::current().id());
+        assert_eq!(threads, vec![caller; 5]);
+        assert_eq!(pool.stats().batch_tasks_executed, 5);
     }
 
     #[test]
     fn batch_task_panic_is_rethrown_on_the_submitter_after_all_tasks_ran() {
         let pool = WorkerPool::new(2);
-        let completed = Arc::new(AtomicUsize::new(0));
-        let completed2 = Arc::clone(&completed);
+        let completed = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            tasks.push(Box::new(|| panic!("scripted batch panic")));
-            for _ in 0..4 {
-                let c = Arc::clone(&completed2);
-                tasks.push(Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            pool.run_batch(tasks);
+            pool.map_bands(&[0, 1, 2, 3, 4], 5, |&i| {
+                if i == 0 {
+                    panic!("scripted batch panic");
+                }
+                completed.fetch_add(1, Ordering::SeqCst);
+            })
         }));
         let payload = result.expect_err("panic must propagate");
         let msg = payload
@@ -734,29 +853,11 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel::<usize>();
         let p = Arc::clone(&pool);
         pool.spawn(move || {
-            let inner_sum = AtomicUsize::new(0);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-                .map(|i| {
-                    let s = &inner_sum;
-                    Box::new(move || {
-                        s.fetch_add(i, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            p.run_batch(tasks);
-            let _ = tx.send(inner_sum.load(Ordering::SeqCst));
+            let inner: Vec<usize> = p.map_bands(&[0, 1, 2, 3], 4, |&i| i);
+            let _ = tx.send(inner.iter().sum());
         });
-        let outer_sum = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|i| {
-                let s = &outer_sum;
-                Box::new(move || {
-                    s.fetch_add(i * 10, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_batch(tasks);
-        assert_eq!(outer_sum.load(Ordering::SeqCst), 60);
+        let outer: Vec<usize> = pool.map_bands(&[0, 1, 2, 3], 4, |&i| i * 10);
+        assert_eq!(outer.iter().sum::<usize>(), 60);
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 6);
     }
 
@@ -779,14 +880,7 @@ mod tests {
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
         let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_batch(tasks);
+        pool.map_bands(&[(); 4], 4, |_| counter.fetch_add(1, Ordering::SeqCst));
         assert_eq!(counter.load(Ordering::SeqCst), 4);
         assert!(
             pool.stats().lock_poisonings >= 1,
